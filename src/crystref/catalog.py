@@ -22,7 +22,8 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .affine import AffineMap, Monomial, Vector
-from .errors import InvalidParameters, RingMismatch, TooLarge, UnknownGroup
+from .errors import (CrystrefError, InvalidParameters, RingMismatch, TooLarge,
+                     UnknownGroup)
 from .lattices import Lattice, ScalarModule, lattice_from_generators
 from .scalars import Ring, Scalar
 
@@ -484,12 +485,15 @@ def build_group(gid) -> GroupSpec:
     # sanity: the lattice must be stable under every linear generator, and a
     # tabulated counterexample must be a member with small basis coefficients
     for m in gens:
-        assert lattice.is_invariant(m), f"{gid.name()}: lattice not invariant"
+        if not lattice.is_invariant(m):
+            raise CrystrefError(f"{gid.name()}: lattice not invariant")
     if counter is not None:
         coeffs = lattice.coefficients(counter.tran)
-        assert coeffs is not None, f"{gid.name()}: counterexample not in lattice"
-        assert max(abs(c) for c in coeffs) <= 1, \
-            f"{gid.name()}: counterexample outside the B=1 box"
+        if coeffs is None:
+            raise CrystrefError(f"{gid.name()}: counterexample not in lattice")
+        if max(abs(c) for c in coeffs) > 1:
+            raise CrystrefError(
+                f"{gid.name()}: counterexample outside the B=1 box")
     _SPEC_CACHE[gid] = spec
     return spec
 

@@ -161,17 +161,8 @@ class Lattice:
         if akern:
             bmat = [[sum(zrow[j] * avec[j] for j in range(len(avec)))
                      for avec in akern] for zrow in zmat]
-            # column scaling to integers leaves the left kernel unchanged
-            ncols = len(akern)
-            from math import lcm
-            scaled = []
-            dens = [1] * ncols
-            for c in range(ncols):
-                for row in bmat:
-                    dens[c] = lcm(dens[c], Fraction(row[c]).denominator)
-            scaled = [[int(Fraction(row[c]) * dens[c]) for c in range(ncols)]
-                      for row in bmat]
-            ys = linalg.int_left_kernel(scaled)
+            # scaling to integers leaves the left kernel unchanged
+            ys = linalg.int_left_kernel(linalg.int_matrix_and_den(bmat)[0])
         else:
             ys = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
         solver = linalg.RowSolver(fmat)

@@ -110,8 +110,9 @@ class RowSolver:
 
 # -- integer matrices ------------------------------------------------------
 
-def _scale_rows_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale a rational matrix by the global denominator lcm."""
+def int_matrix_and_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(numerator matrix, denominator) with rows = num / den exactly; den is
+    the lcm of the entries' denominators."""
     den = 1
     for row in rows:
         for x in row:
@@ -210,12 +211,7 @@ def frac_row_basis_hnf(rows: Sequence[Sequence[Fraction]]) -> tuple[list[FracRow
     """
     if not rows:
         return [], 0
-    scaled, den = _scale_rows_to_int(rows)
+    scaled, den = int_matrix_and_den(rows)
     hnf = int_hnf(scaled)
     basis = [[Fraction(x, den) for x in row] for row in hnf]
     return basis, len(hnf)
-
-
-def int_matrix_and_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """(numerator matrix, denominator) with rows = num / den exactly."""
-    return _scale_rows_to_int(rows)

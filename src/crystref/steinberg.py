@@ -5,8 +5,17 @@ reproducing the pass/fail columns of the classification tables.
 The complete oracle for a single element is hyperplane-family membership of
 its fixed space (see hyperplanes.py); the lemma constructions are redundant
 cross-checks.  Sweeps run a vectorised integer fast path whose verdicts agree
-with the exact per-element oracle (tested on full small grids), with flagged
-violations re-verified exactly up to a configurable cap.
+with the exact per-element oracle (tested on full and sampled grids), with
+flagged violations re-verified exactly up to a configurable cap.
+
+The fast path is int64 from end to end.  A sweep scales the lattice Z-basis to
+one integer matrix B over one denominator D.  Per linear part it solves the
+cycles for all basis vectors at once: multiplication by xi^e is a power of
+the integer companion matrix of the ring, and division by 1 - xi^k is an
+integer adjugate over the lcm N of the norms, so every value is an integer
+over D * N.  Translations are decoded as coeffs @ B over D.  Every product
+with a coefficient grid is guarded: bound * (largest column abs-sum) must
+stay below 2**62, or the sweep raises CrystrefError.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +38,8 @@ from .hyperplanes import (Branch, HyperplaneFamily, LinearForm, Witness,
                           point_on_arrangement, reflection_families,
                           subspace_on_arrangement, witness_reflection)
 from .lattices import ScalarModule
-from .scalars import Ring, Scalar
+from .linalg import RowSolver, int_matrix_and_den
+from .scalars import _FOLDED, _REDUCTION, Ring, Scalar
 
 NO_FIXED_POINT = "no_fixed_point"
 REFLECTION_POWER = "reflection_power"
@@ -206,8 +217,9 @@ def witness_from_conditions(spec: GroupSpec, g: AffineMap) -> Optional[Witness]:
                     # the translation (1 - xi^p) beta' e_j stays in the lattice
                     tr = Vector.basis(ring, spec.n, j).scale(
                         (one - ring.root(p)) * beta_prime)
-                    assert spec.lattice.contains(tr), \
-                        "condition (2) translation escaped the lattice"
+                    if not spec.lattice.contains(tr):
+                        raise CrystrefError(
+                            "condition (2) translation escaped the lattice")
                     wit = coordinate_witness(j, p, beta_prime)
                     if wit is not None:
                         return wit
@@ -271,170 +283,177 @@ def verify_element(spec: GroupSpec, g: AffineMap,
 
 # -- vectorised sweep ---------------------------------------------------------
 
-class _BlockData:
-    """Fixed-point structure of one linear part, as integer functionals of the
-    translation coefficients in the lattice basis."""
-
-    __slots__ = ("consistency", "branch_tests", "sigma")
-
-    def __init__(self, sigma, consistency, branch_tests):
-        self.sigma = sigma
-        self.consistency = consistency      # int matrix (m x q) or None
-        self.branch_tests = branch_tests    # list of (P1, D1, P2) int data
+_INT64_LIMIT = 2 ** 62
 
 
-def _cycle_solutions(ring: Ring, nodes, exps, tcoords):
-    """Given one cycle and a translation vector, return
-    ("point", {node: value}) when the weight product is nontrivial, else
-    ("free", wrap_value, {node: particular value with start 0}, {node: dir})."""
-    r = ring.r
-    length = len(nodes)
-    total = sum(exps) % r
-    svals = [ring.zero()]
-    wvals = [ring.one()]
-    for i in range(length - 1):
-        w = ring.root(exps[i])
-        svals.append(w * svals[-1] + tcoords[nodes[i + 1]])
-        wvals.append(ring.root(sum(exps[:i + 1]) % r))
-    wlast = ring.root(exps[-1])
-    wrap = wlast * svals[-1] + tcoords[nodes[0]]
-    if total != 0:
-        z = wrap / (ring.one() - ring.root(total))
-        return "point", {nodes[i]: wvals[i] * z + svals[i] for i in range(length)}
-    return ("free", wrap, {nodes[i]: svals[i] for i in range(length)},
-            {nodes[i]: wvals[i] for i in range(length)})
+def _colmax(mat: np.ndarray) -> int:
+    """Largest column abs-sum, exactly (per matrix for a stack)."""
+    return int(np.abs(mat.astype(object)).sum(axis=-2).max(initial=0))
 
 
-def _int_scale_columns(rows):
-    """Column-scale a rational matrix to integers (per-column denominators)."""
-    from math import lcm
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    dens = [1] * ncols
-    for row in rows:
-        for c in range(ncols):
-            dens[c] = lcm(dens[c], Fraction(row[c]).denominator)
-    return [[int(Fraction(row[c]) * dens[c]) for c in range(ncols)] for row in rows]
+def _guard(bound: int, *mats: np.ndarray) -> None:
+    """Refuse the int64 products x @ mat for x with entries in [-bound, bound]
+    unless bound * (largest column abs-sum of mat) < 2**62, so that no entry
+    of a product can overflow."""
+    if bound * max([1] + [_colmax(mat) for mat in mats]) >= _INT64_LIMIT:
+        raise CrystrefError(f"sweep products would overflow int64 at bound {bound}")
+
+
+def _integer_basis(spec: GroupSpec, bound: int) -> tuple[np.ndarray, int]:
+    """The lattice Z-basis as one int64 matrix B over one denominator D (the
+    flat basis vectors are the rows of B / D), guarded for coefficient rows
+    with entries in [-bound, bound]."""
+    rows, den = int_matrix_and_den([b.flat() for b in spec.lattice.zbasis])
+    basis = np.array(rows, dtype=object)
+    _guard(bound, basis)
+    return basis.astype(np.int64), den
+
+
+def _decode(spec: GroupSpec, basis: np.ndarray, den: int,
+            coeffs: np.ndarray) -> list[Vector]:
+    """The translations sum_i c_i b_i for the coefficient rows c, exactly: one
+    integer product with the basis numerators, each entry over D."""
+    ring = spec.ring
+    width = ring.flat_width
+    pad = [Fraction(0)] * (4 - width)
+    out = []
+    for row in (coeffs @ basis).tolist():
+        q = [Fraction(v, den) for v in row]
+        out.append(Vector(ring, [Scalar._raw(ring, *q[i:i + width], *pad)
+                                 for i in range(0, len(q), width)]))
+    return out
+
+
+def _ring_matrices(ring: Ring) -> tuple[np.ndarray, np.ndarray, int]:
+    """(roots, divs, N): integer matrices acting on coordinate rows x of
+    scalars.  x @ roots[e] multiplies by xi^e (powers of the companion matrix
+    of the relation in _REDUCTION), and x @ divs[k] / N divides by 1 - xi^k
+    (the adjugate over the norm, every k over the lcm N of the norms)."""
+    if ring.is_quadratic:
+        u, v = _REDUCTION[ring.r]
+        xi = np.array([[0, 1], [v, u]], dtype=np.int64)
+    else:   # xi is the rational _FOLDED[r]; second coordinates stay zero
+        xi = np.array([[_FOLDED[ring.r], 0], [1, 0]], dtype=np.int64)
+    eye = np.eye(2, dtype=np.int64)
+    powers = [eye]
+    for _ in range(ring.r - 1):
+        powers.append(powers[-1] @ xi)
+    adjs, norms = [0 * eye], [1]
+    for k in range(1, ring.r):
+        (a, b), (c, d) = (eye - powers[k]).tolist()
+        adjs.append(np.array([[d, -b], [-c, a]], dtype=np.int64))
+        norms.append(a * d - b * c)
+    big = lcm(*norms)
+    block = np.eye(ring.flat_width // 2, dtype=np.int64)
+    return (np.stack([np.kron(block, x) for x in powers]),
+            np.stack([np.kron(block, x * (big // nm))
+                      for x, nm in zip(adjs, norms)]), big)
 
 
 def _module_solver_data(module: ScalarModule):
-    """(L, C) with y = x @ L the candidate integer coordinates and x @ C == 0
-    the row-span consistency condition; L is None for the zero module."""
+    """(L, dL, C, dC), integer matrices over denominators: y = x @ L / dL are
+    the candidate integer coordinates of a scalar with coordinate row x, and
+    x @ C == 0 (C / dC = L G - I) is its row-span condition; L has no columns
+    for the zero module."""
     width = module.ring.flat_width
-    if module.is_zero():
-        return None, [[Fraction(int(i == j)) for j in range(width)]
-                      for i in range(width)]
-    from .linalg import RowSolver
     gmat = [list(g.coordinates()) for g in module.gens]
-    solver = RowSolver(gmat)
     k = len(gmat)
     L = [[Fraction(0)] * k for _ in range(width)]
-    for a in range(k):
-        for b in range(k):
-            L[solver.piv_cols[a]][b] = solver.inv_piv[b][a]
-    # consistency: x @ (L G - I) == 0
+    if k:
+        solver = RowSolver(gmat)
+        for a in range(k):
+            for b in range(k):
+                L[solver.piv_cols[a]][b] = solver.inv_piv[b][a]
     C = [[sum(L[i][t] * gmat[t][j] for t in range(k)) - (1 if i == j else 0)
           for j in range(width)] for i in range(width)]
-    return L, C
+    return (*int_matrix_and_den(L), *int_matrix_and_den(C))
 
 
-def _prepare_sigma(spec: GroupSpec, sigma: Monomial, fam_data) -> _BlockData:
-    """Precompute, for one linear part, the integer consistency matrix and the
-    per-branch membership tests as functions of the lattice coefficients."""
-    ring = spec.ring
-    m = spec.lattice.rank
-    width = ring.flat_width
-    cycles = sigma.cycles()
-    values_per_basis = []   # for each basis vector: ({node: value}, {node: particular})
-    for bi, bvec in enumerate(spec.lattice.zbasis):
-        tc = list(bvec.coords)
-        point_vals = {}
-        part_vals = {}
-        wraps = []
-        for nodes, exps in cycles:
-            res = _cycle_solutions(ring, nodes, exps, tc)
-            if res[0] == "point":
-                point_vals.update(res[1])
-            else:
-                wraps.append(res[1])
-                part_vals.update(res[2])
-        values_per_basis.append((point_vals, part_vals, wraps))
-    free_cycles = [(nodes, exps) for nodes, exps in cycles
-                   if sum(exps) % ring.r == 0]
-    dirs = {}
-    for nodes, exps in free_cycles:
-        acc = 0
-        for i, node in enumerate(nodes):
-            dirs[node] = ring.root(acc)
-            acc = (acc + exps[i]) % ring.r
-    # consistency matrix: rows = coefficients, cols = flattened wrap values
-    consistency = None
-    if free_cycles:
-        rows = []
-        for bi in range(m):
-            row = []
-            for wrap in values_per_basis[bi][2]:
-                row.extend(wrap.coordinates())
-            rows.append(row)
-        consistency = np.array(_int_scale_columns(rows), dtype=np.int64)
-    solvable = {}   # node -> True if its cycle has nontrivial weight product
-    for nodes, exps in cycles:
-        flag = sum(exps) % ring.r != 0
-        for node in nodes:
-            solvable[node] = flag
-    branch_tests = []
-    for fam, branch, (L, C) in fam_data:
-        form = fam.form
-        j0 = form.j - 1
-        k0 = form.k - 1 if form.k is not None else None
-        if k0 is None:
-            if not solvable[j0]:
-                continue
+class _Kernel:
+    """The integer data one sweep shares across its linear parts: the basis
+    B / D, the ring matrices, and per mirror-family branch its form
+    x_j - xi^m x_k (k = n, a zero node, for x_j) with the branch's module
+    data; _prepare_sigma turns them into int64 tests for one linear part."""
 
-            def value(bi, j0=j0):
-                return values_per_basis[bi][0][j0]
-        elif solvable[j0] and solvable[k0]:
-            xm = ring.root(form.m)
+    def __init__(self, spec: GroupSpec, bound: int):
+        ring = spec.ring
+        self.n, self.r, self.bound = spec.n, ring.r, bound
+        self.basis, self.den = _integer_basis(spec, bound)
+        self.roots, self.divs, self.norm = _ring_matrices(ring)
+        width = ring.flat_width
+        self.forms, self.d1, ls, cs = [], [], [], []
+        for fam in reflection_families(spec):
+            form = fam.form
+            k = spec.n if form.k is None else form.k - 1
+            for branch in fam.branches:
+                L, dl, C, _ = _module_solver_data(branch.constants)
+                self.forms.append((form.j - 1, k, form.m))
+                self.d1.append(self.den * self.norm * dl)
+                ls.append([row + [0] * (width - len(row)) for row in L])
+                cs.append(C)
+        ls = np.array(ls, dtype=object).reshape(-1, width, width)
+        cs = np.array(cs, dtype=object).reshape(-1, width, width)
+        # a prepared value is B through at most n root products, one division,
+        # the scaling by N and one form: its entries stay below `reach`
+        rho, delta = _colmax(self.roots), max(_colmax(self.divs), 1)
+        reach = ((1 + rho) * (rho * delta + self.norm) * spec.n * rho ** spec.n
+                 * int(np.abs(self.basis).max()))
+        _guard(reach, ls, cs)
+        self.ls, self.cs = ls.astype(np.int64), cs.astype(np.int64)
 
-            def value(bi, j0=j0, k0=k0, xm=xm):
-                vals = values_per_basis[bi][0]
-                return vals[j0] - xm * vals[k0]
-        elif (not solvable[j0]) and (not solvable[k0]) and \
-                dirs.get(j0) is not None and dirs.get(k0) is not None:
-            xm = ring.root(form.m)
-            if dirs[j0] != xm * dirs[k0]:
-                continue
-            same_cycle = any(j0 in nodes and k0 in nodes
-                             for nodes, _ in free_cycles)
-            if not same_cycle:
-                continue
 
-            def value(bi, j0=j0, k0=k0, xm=xm):
-                vals = values_per_basis[bi][1]
-                return vals[j0] - xm * vals[k0]
+def _prepare_sigma(kernel: _Kernel, sigma: Monomial):
+    """(consistency, tests) for one linear part, as int64 matrices in the
+    lattice coefficients c.  c @ consistency == 0 says that (sigma, t) has a
+    fixed point (consistency is None when every cycle solves); a test
+    (P1, d1, P2) then puts its fixed space on a mirror of one branch when
+    c @ P2 == 0 and c @ P1 == 0 mod d1."""
+    n, r, norm, roots = kernel.n, kernel.r, kernel.norm, kernel.roots
+    m = len(kernel.basis)
+    t = kernel.basis.reshape(m, n, -1)
+    # per node, over D * N: the fixed coordinate on cycles of nontrivial weight
+    # product, else the particular solution with start 0; node n stays zero
+    x = np.zeros((m, n + 1, t.shape[2]), dtype=np.int64)
+    point = [True] * (n + 1)
+    acc = [0] * (n + 1)
+    cycle = [0] * (n + 1)
+    wraps = []
+    for ci, (nodes, exps) in enumerate(sigma.cycles()):
+        s = np.zeros_like(t[:, 0])
+        svals = [s]
+        for e, node in zip(exps, nodes[1:]):
+            s = s @ roots[e] + t[:, node]
+            svals.append(s)
+        wrap = s @ roots[exps[-1]] + t[:, nodes[0]]
+        accs = np.cumsum([0] + exps[:-1]) % r
+        vals = norm * np.stack(svals, axis=1)
+        total = sum(exps) % r
+        if total:
+            vals += (wrap @ kernel.divs[total] @ roots[accs]).swapaxes(0, 1)
         else:
-            continue
-        amat = [list(value(bi).coordinates()) for bi in range(m)]
-        if L is None:
-            p2 = [[amat[i][a] * 1 for a in range(width)] for i in range(m)]
-            p2int = np.array(_int_scale_columns(p2), dtype=np.int64)
-            branch_tests.append((None, 1, p2int))
-            continue
-        k = len(L[0])
-        p1 = [[sum(Fraction(amat[i][t]) * L[t][a] for t in range(width))
-               for a in range(k)] for i in range(m)]
-        p2 = [[sum(Fraction(amat[i][t]) * C[t][j] for t in range(width))
-               for j in range(width)] for i in range(m)]
-        from math import lcm
-        d1 = 1
-        for row in p1:
-            for x in row:
-                d1 = lcm(d1, x.denominator)
-        p1int = np.array([[int(x * d1) for x in row] for row in p1], dtype=np.int64)
-        p2int = np.array(_int_scale_columns(p2), dtype=np.int64)
-        branch_tests.append((p1int, d1, p2int))
-    return _BlockData(sigma, consistency, branch_tests)
+            wraps.append(wrap)
+        x[:, nodes] = vals
+        for node, a in zip(nodes, accs.tolist()):
+            point[node], acc[node], cycle[node] = bool(total), a, ci
+    # a branch applies when both nodes are fixed coordinates, or when both lie
+    # on one free cycle whose direction the form annihilates
+    chosen = [i for i, (j, k, fm) in enumerate(kernel.forms)
+              if (point[j] and point[k]) or
+              (not (point[j] or point[k]) and cycle[j] == cycle[k]
+               and (acc[j] - acc[k] - fm) % r == 0)]
+    consistency = None
+    if wraps:
+        consistency = np.concatenate(wraps, axis=1)
+        _guard(kernel.bound, consistency)
+    if not chosen:
+        return consistency, []
+    js, ks, fms = (list(col) for col in zip(*(kernel.forms[i] for i in chosen)))
+    vals = x[:, js] - (x[:, ks, None, :] @ roots[fms])[:, :, 0]
+    vals = vals.swapaxes(0, 1)
+    p1 = vals @ kernel.ls[chosen]
+    p2 = vals @ kernel.cs[chosen]
+    _guard(kernel.bound, p1, p2)
+    return consistency, list(zip(p1, [kernel.d1[i] for i in chosen], p2))
 
 
 @dataclass
@@ -470,22 +489,13 @@ class SweepReport:
         }
 
 
-def _coefficient_grid(m: int, bound: int) -> np.ndarray:
+def _coefficient_grid(m: int, bound: int, idx=None) -> np.ndarray:
+    """Coefficient rows of the [-bound, bound]^m box, all of them or those at
+    the flat indices idx."""
     side = 2 * bound + 1
-    total = side ** m
-    idx = np.arange(total)
-    cols = []
-    for i in range(m):
-        cols.append((idx // (side ** i)) % side - bound)
+    idx = np.arange(side ** m) if idx is None else np.asarray(idx)
+    cols = [(idx // (side ** i)) % side - bound for i in range(m)]
     return np.stack(cols, axis=1).astype(np.int64)
-
-
-def _grid_vector(spec: GroupSpec, coeffs) -> Vector:
-    t = Vector.zero(spec.ring, spec.n)
-    for c, b in zip(coeffs, spec.lattice.zbasis):
-        if c:
-            t = t + b.scale(spec.ring.rational(int(c)))
-    return t
 
 
 def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
@@ -503,11 +513,7 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
     side = 2 * bound + 1
     per_sigma = side ** m
     grid_total = per_sigma * len(sigmas)
-    fams = reflection_families(spec)
-    fam_data = []
-    for fam in fams:
-        for branch in fam.branches:
-            fam_data.append((fam, branch, _module_solver_data(branch.constants)))
+    kernel = _Kernel(spec, bound)
 
     sampled: Optional[dict[int, np.ndarray]] = None
     if budget is not None and grid_total > budget:
@@ -519,9 +525,7 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
         for flat in chosen:
             by_sigma.setdefault(flat // per_sigma, []).append(flat % per_sigma)
         for si, gidxs in by_sigma.items():
-            idx = np.array(gidxs)
-            cols = [((idx // (side ** i)) % side - bound) for i in range(m)]
-            sampled[si] = np.stack(cols, axis=1).astype(np.int64)
+            sampled[si] = _coefficient_grid(m, bound, gidxs)
 
     full_grid = None if sampled is not None else _coefficient_grid(m, bound)
     examined = 0
@@ -535,10 +539,10 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
             grid = sampled[si]
         else:
             grid = full_grid
-        data = _prepare_sigma(spec, sigma, fam_data)
+        consistency, tests = _prepare_sigma(kernel, sigma)
         examined += len(grid)
-        if data.consistency is not None:
-            cons = (grid @ data.consistency == 0).all(axis=1)
+        if consistency is not None:
+            cons = (grid @ consistency == 0).all(axis=1)
         else:
             cons = np.ones(len(grid), dtype=bool)
         if sigma.is_identity():
@@ -548,18 +552,17 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
         if nfp == 0:
             continue
         on = np.zeros(len(grid), dtype=bool)
-        for p1, d1, p2 in data.branch_tests:
+        for p1, d1, p2 in tests:
             mask = ~on & cons
             if not mask.any():
                 break
             sub = grid[mask]
-            ok = (sub @ p2 == 0).all(axis=1)
-            if p1 is not None:
-                ok &= ((sub @ p1) % d1 == 0).all(axis=1)
-            on[mask] = ok
+            on[mask] = ((sub @ p2 == 0).all(axis=1)
+                        & ((sub @ p1) % d1 == 0).all(axis=1))
         bad = cons & ~on
-        for gi in np.nonzero(bad)[0]:
-            t = _grid_vector(spec, grid[gi])
+        if not bad.any():
+            continue
+        for t in _decode(spec, kernel.basis, kernel.den, grid[bad]):
             g = AffineMap(sigma, t)
             if confirmed < confirm_cap:
                 verdict = verify_element(spec, g, classify_reflection_power=False)
@@ -590,13 +593,13 @@ def element_stream(spec: GroupSpec, bound: int = 1,
     side = 2 * bound + 1
     per_sigma = side ** m
     grid_total = per_sigma * len(sigmas)
+    basis, den = _integer_basis(spec, bound)
     tcache: dict[int, Vector] = {}
 
     def decode(si: int, gi: int) -> AffineMap:
         t = tcache.get(gi)
         if t is None:
-            coeffs = [((gi // (side ** i)) % side) - bound for i in range(m)]
-            t = _grid_vector(spec, coeffs)
+            t = _decode(spec, basis, den, _coefficient_grid(m, bound, [gi]))[0]
             tcache[gi] = t
         return AffineMap(sigmas[si], t)
 
@@ -629,12 +632,12 @@ def sweep_exact(spec: GroupSpec, bound: int = 1,
     sigmas = spec.elements_of_linear_part(cap)
     m = spec.lattice.rank
     grid = _coefficient_grid(m, bound)
+    translations = _decode(spec, *_integer_basis(spec, bound), grid)
     examined = 0
     with_fp = 0
     violations = []
     for sigma in sigmas:
-        for row in grid:
-            t = _grid_vector(spec, row)
+        for t in translations:
             g = AffineMap(sigma, t)
             if g.is_identity():
                 continue
@@ -729,7 +732,10 @@ def full_table_report(bound: int = 1, budget: Optional[int] = 200_000,
             row["computed"] = rep.violation_count == 0
             row["method"] = "sweep"
         else:
-            cc = check_counterexample(spec)
+            try:
+                cc = check_counterexample(spec)
+            except CrystrefError as exc:
+                cc = {"passed": False, "error": str(exc)}
             row["computed"] = not cc["passed"]
             row["method"] = "counterexample"
             row["counterexample"] = cc

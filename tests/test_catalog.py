@@ -5,10 +5,11 @@ from importlib import resources
 
 import pytest
 
-from crystref import (AffineMap, InvalidParameters, Monomial, Ring, TooLarge,
-                      UnknownGroup, Vector, build_group, catalog_ids, compose,
-                      enumerate_linear_group, generators_of_linear_part,
-                      linear_group_order, parse_group_name, parse_scalar)
+from crystref import (AffineMap, CrystrefError, InvalidParameters, Monomial,
+                      Ring, TooLarge, UnknownGroup, Vector, build_group,
+                      catalog, catalog_ids, compose, enumerate_linear_group,
+                      generators_of_linear_part, linear_group_order,
+                      parse_group_name, parse_scalar)
 from crystref.catalog import _coeff_gens
 from crystref.lattices import lattice_from_generators
 
@@ -200,3 +201,17 @@ def test_catalog_file_matches_constructors():
             assert AffineMap(lin, tran) == spec.counterexample, gid.name()
         else:
             assert spec.counterexample is None
+
+
+def test_build_group_guards_raise_errors(monkeypatch):
+    # the sanity checks are errors, not asserts that python -O would strip
+    saved = dict(catalog._SPEC_CACHE)
+    catalog._SPEC_CACHE.clear()
+    try:
+        monkeypatch.setattr(catalog.Lattice, "is_invariant",
+                            lambda self, m: False)
+        with pytest.raises(CrystrefError, match="lattice not invariant"):
+            build_group("[G(4,1,2)]_2")
+    finally:
+        catalog._SPEC_CACHE.clear()
+        catalog._SPEC_CACHE.update(saved)

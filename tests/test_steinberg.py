@@ -1,7 +1,9 @@
 """Verification engine: orbits, lemma witnesses, verdicts, sweeps."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
@@ -13,6 +15,11 @@ from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
                       subspace_satisfies_form, sweep, sweep_exact,
                       verify_element, witness_from_conditions,
                       witness_from_cycle)
+from crystref import steinberg
+from crystref.cli import run
+from crystref.steinberg import (_decode, _guard, _integer_basis,
+                                _ring_matrices, element_stream,
+                                full_table_report)
 
 
 def _half_gaussian_module(r4):
@@ -242,6 +249,108 @@ def test_fast_sweep_matches_exact_oracle():
         slow = sweep_exact(spec, bound=1)
         assert {v.element for v in fast.violations} == \
             {v.element for v in slow.violations}, name
+    # n = 3 and alpha rows under sampling: the fast verdicts agree with the
+    # exact oracle on exactly the elements the sample draws
+    for name in ("[G(6,6,3)]_1", "[G(2,1,3)]^a_3"):
+        spec = build_group(name)
+        fast = sweep(spec, bound=1, budget=1500, confirm_cap=10 ** 9)
+        assert not fast.exhaustive and fast.examined == 1500
+        with_fp = 0
+        bad = set()
+        for g in element_stream(spec, bound=1, budget=1500):
+            outcome = verify_element(spec, g,
+                                     classify_reflection_power=False).outcome
+            with_fp += outcome != NO_FIXED_POINT
+            if outcome == VIOLATION:
+                bad.add(g)
+        assert {v.element for v in fast.violations} == bad, name
+        assert fast.with_fixed_point == with_fp, name
+
+
+def test_integer_decode_matches_vector_arithmetic():
+    rng = random.Random(2024)
+    for gid in catalog_ids():
+        spec = build_group(gid)
+        basis, den = _integer_basis(spec, 3)
+        coeffs = [[rng.randint(-3, 3) for _ in spec.lattice.zbasis]
+                  for _ in range(200)]
+        decoded = _decode(spec, basis, den, np.array(coeffs, dtype=np.int64))
+        for row, t in zip(coeffs, decoded):
+            want = Vector.zero(spec.ring, spec.n)
+            for c, b in zip(row, spec.lattice.zbasis):
+                want = want + b.scale(spec.ring.rational(c))
+            assert t == want and hash(t) == hash(want), (spec.name, row)
+
+
+def test_ring_matrices_match_scalar_arithmetic(rng):
+    from conftest import random_scalar
+    for r in (1, 2, 3, 4, 6):
+        for alpha in (False, True):
+            ring = Ring(r, alpha)
+            roots, divs, norm = _ring_matrices(ring)
+
+            def act(x, mat, den=1):
+                row = x.coordinates()
+                return ring.from_coordinates(
+                    [sum(row[i] * int(mat[i][j]) for i in range(len(row))) / den
+                     for j in range(len(row))])
+
+            for _ in range(10):
+                x = random_scalar(rng, ring, with_alpha=True)
+                for k in range(r):
+                    assert act(x, roots[k]) == x * ring.root(k)
+                    if k:
+                        assert act(x, divs[k], norm) == \
+                            x / (ring.one() - ring.root(k))
+
+
+def test_int64_guard_refuses_overflowing_products():
+    huge = np.array([[2 ** 61, 5], [2 ** 61, -7]], dtype=np.int64)
+    _guard(1, huge[:, 1:])
+    _guard(2 ** 58, huge[:, 1:])
+    with pytest.raises(CrystrefError):
+        _guard(1, huge)                 # column abs-sum 2**62
+    with pytest.raises(CrystrefError):
+        _guard(2 ** 59, huge[:, 1:])    # 2**59 * 12 >= 2**62
+    with pytest.raises(CrystrefError):
+        _guard(2 ** 62)                 # the bound alone
+    spec = build_group("[G(4,1,2)]_2")
+    with pytest.raises(CrystrefError):
+        sweep(spec, bound=2 ** 61, budget=10)
+    # the prepared matrices of a linear part are guarded too: identity (free
+    # cycles, consistency) and diag(i, i) (fixed coordinates, P1 and P2)
+    kernel = steinberg._Kernel(spec, 1)
+    kernel.bound = 2 ** 61
+    for sigma in (Monomial.identity(spec.ring, 2),
+                  Monomial.diagonal(spec.ring, [1, 1])):
+        steinberg._prepare_sigma(steinberg._Kernel(spec, 1), sigma)
+        with pytest.raises(CrystrefError):
+            steinberg._prepare_sigma(kernel, sigma)
+    assert run(["check", spec.name, "-B", str(2 ** 61), "--budget", "10"]) == 2
+
+
+def test_table_reports_failed_certification_as_mismatch(monkeypatch, capsys):
+    certify = steinberg.check_counterexample
+
+    def failing(spec):
+        if spec.name == "[G(3,1,2)]_2":
+            raise CrystrefError("certification failed on purpose")
+        return certify(spec)
+
+    monkeypatch.setattr(steinberg, "check_counterexample", failing)
+    rep = full_table_report(budget=500)
+    rows = {row["group"]: row for row in rep["rows"]}
+    row = rows["[G(3,1,2)]_2"]
+    assert row["counterexample"] == {"passed": False,
+                                     "error": "certification failed on purpose"}
+    assert row["computed"] is True and row["match"] is False
+    assert not rep["all_match"]
+    assert all(r["match"] for name, r in rows.items() if name != row["group"])
+    capsys.readouterr()
+    assert run(["table", "--budget", "500"]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()
+            if line.endswith("MISMATCH")] == ["[G(3,1,2)]_2"]
 
 
 def test_check_counterexample_all_failing_rows():
