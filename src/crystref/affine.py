@@ -2,8 +2,9 @@
 structural predicates: finite order, reflection tests, exact fixed spaces.
 
 Linear parts are always monomial (permutation + root-of-unity weights stored
-as exponents); dense exact matrices appear only inside the linear solver for
-(1 - Lin).
+as exponents), so (1 - Lin) v = t splits into independent cycles: fixed spaces
+and the reflection test are solved cycle by cycle.  The dense scalar solver
+is kept only for membership in a subspace.
 """
 
 from __future__ import annotations
@@ -237,13 +238,6 @@ class Monomial:
             order = lcm(order, length * scalar_order)
         return order
 
-    def dense(self) -> list[list[Scalar]]:
-        zero = self.ring.zero()
-        mat = [[zero] * self.n for _ in range(self.n)]
-        for j in range(self.n):
-            mat[self.perm[j]][j] = self.ring.root(self.exps[j])
-        return mat
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -443,44 +437,59 @@ def _solve_scalar_system(rows: list[list[Scalar]], rhs: list[Scalar],
 
 
 def fixed_space(g: AffineMap) -> AffineSubspace:
-    """Solutions of (1 - Lin(g)) v = Tran(g), exactly."""
+    """Solutions of (1 - Lin(g)) v = Tran(g), exactly, cycle by cycle.
+
+    Along a cycle n_0 -> n_1 -> ... of Lin(g) a fixed point satisfies
+    v[n_{i+1}] = xi^e_i v[n_i] + t[n_{i+1}], so v[n_i] = xi^acc_i v[n_0] + s_i
+    with s_0 = 0.  Going round once gives (1 - xi^S) v[n_0] = wrap.  When the
+    weight product xi^S is not 1 this fixes v[n_0]; otherwise wrap must vanish
+    and the cycle contributes one direction.  The result is the one the
+    reduced row echelon form of the dense system gives: on each free cycle
+    the largest node is 0 in the base point, each direction is 1 at its
+    cycle's smallest node, and directions follow their largest nodes.
+    """
     ring = g.ring
-    n = g.n
-    rows = [[ring.zero()] * n for _ in range(n)]
-    for j in range(n):
-        rows[j][j] = rows[j][j] + ring.one()
-        i = g.lin.perm[j]
-        rows[i][j] = rows[i][j] - g.lin.weight(j)
-    solved = _solve_scalar_system(rows, list(g.tran.coords), ring)
-    if solved is None:
-        return EMPTY
-    particular, kernel = solved
-    return AffineSubspace(Vector(ring, particular),
-                          [Vector(ring, vec) for vec in kernel])
+    r = ring.r
+    zero = ring.zero()
+    tran = g.tran.coords
 
+    def turn(e: int, x: Scalar) -> Scalar:
+        """xi^e * x, without the product when it is trivial."""
+        return x if e % r == 0 or x.is_zero() else ring.root(e) * x
 
-def scalar_matrix_rank(rows: list[list[Scalar]], ring: Ring) -> int:
-    """Rank over the scalar field (entries must be cyclotomic)."""
-    if not rows:
-        return 0
-    zeros = [ring.zero()] * len(rows)
-    solved = _solve_scalar_system([list(r) for r in rows], zeros, ring)
-    assert solved is not None
-    return len(rows[0]) - len(solved[1])
+    base = [zero] * g.n
+    free = []
+    for nodes, exps in g.lin.cycles():
+        svals = [zero]
+        accs = [0]
+        for e, node in zip(exps, nodes[1:]):
+            svals.append(turn(e, svals[-1]) + tran[node])
+            accs.append(accs[-1] + e)
+        wrap = turn(exps[-1], svals[-1]) + tran[nodes[0]]
+        total = (accs[-1] + exps[-1]) % r
+        if total:
+            start = wrap * (ring.one() - ring.root(total)).inverse()
+            for node, a, sv in zip(nodes, accs, svals):
+                base[node] = turn(a, start) + sv
+            continue
+        if not wrap.is_zero():
+            return EMPTY
+        last, first = nodes.index(max(nodes)), nodes.index(min(nodes))
+        direction = [zero] * g.n
+        for node, a, sv in zip(nodes, accs, svals):
+            base[node] = sv - turn(a - accs[last], svals[last])
+            direction[node] = ring.root(a - accs[first])
+        free.append((nodes[last], Vector(ring, direction)))
+    free.sort(key=lambda item: item[0])
+    return AffineSubspace(Vector(ring, base), [d for _, d in free])
 
 
 def is_central_reflection(m: Monomial) -> bool:
-    """True iff m is not the identity and rank(1 - m) == 1."""
-    if m.is_identity():
-        return False
-    ring = m.ring
-    n = m.n
-    dense = m.dense()
-    one = ring.one()
-    zero = ring.zero()
-    rows = [[(one if i == j else zero) - dense[i][j] for j in range(n)]
-            for i in range(n)]
-    return scalar_matrix_rank(rows, ring) == 1
+    """True iff rank(1 - m) == 1: each cycle of weight product 1 adds one
+    dimension to the fixed space of m, and every other cycle none."""
+    r = m.ring.r
+    ones = sum(1 for _, exps in m.cycles() if sum(exps) % r == 0)
+    return m.n - ones == 1
 
 
 def has_finite_order(g: AffineMap) -> bool:

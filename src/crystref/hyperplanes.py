@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 from .affine import (AffineMap, AffineSubspace, Monomial, Vector,
                      is_reflection, subspace_satisfies_form)
 from .catalog import GroupSpec
-from .errors import (ConstantNotAdmissible, EmptySubspace, NotRankOne,
-                     RingMismatch)
+from .errors import (ConstantNotAdmissible, CrystrefError, EmptySubspace,
+                     NotRankOne, RingMismatch)
 from .lattices import ScalarModule
 from .scalars import Ring, Scalar
 
@@ -265,7 +265,7 @@ def off_arrangement_point(spec: GroupSpec, space: AffineSubspace) -> Vector:
             pt = pt + d.scale(spec.ring.rational(q if i % 2 == 0 else q2))
         if point_on_arrangement(spec, pt) is None:
             return pt
-    raise AssertionError("could not exhibit an off-arrangement point")
+    raise CrystrefError("could not exhibit an off-arrangement point")
 
 
 # -- rank-1 windows ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Z-lattices in C^n given by module generators, with exact membership,
 invariance checks and line intersections; plus rank-<=4 modules of scalars.
 
-A lattice is stored as a Z-basis of vectors; membership is an exact rational
-solve against the flattened basis followed by an integrality check.
+A lattice is stored as a Z-basis of vectors; membership scales the flattened
+vector to integers and applies the precomputed integer inverse of the basis
+(linalg.RowSolver): a row-span test and a divisibility test, with no rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .affine import Monomial, Vector
-from .errors import DimensionMismatch, RankDeficient, RingMismatch, ZeroDirection
+from .errors import (CrystrefError, DimensionMismatch, RankDeficient,
+                     RingMismatch, ZeroDirection)
 from .scalars import Ring, Scalar
 
 
@@ -48,9 +51,7 @@ class ScalarModule:
             raise RingMismatch("membership across rings")
         if not self.gens:
             return x.is_zero()
-        if self._solver is None:
-            self._solver = linalg.RowSolver([list(g.coordinates()) for g in self.gens])
-        return self._solver.solve_integral(list(x.coordinates())) is not None
+        return self.solver().solve_integral(x.coordinates()) is not None
 
     __contains__ = contains
 
@@ -58,9 +59,13 @@ class ScalarModule:
         """Integer coordinates of x in the generator basis, if any."""
         if not self.gens:
             return [] if x.is_zero() else None
+        return self.solver().solve_integral(x.coordinates())
+
+    def solver(self) -> linalg.RowSolver:
+        """The solver of the generator coordinate matrix, built once."""
         if self._solver is None:
             self._solver = linalg.RowSolver([list(g.coordinates()) for g in self.gens])
-        return self._solver.solve_integral(list(x.coordinates()))
+        return self._solver
 
     def scaled(self, s: Scalar) -> "ScalarModule":
         """The module s * M."""
@@ -125,14 +130,14 @@ class Lattice:
             raise RingMismatch("vector from a different ring")
         if v.n != self.n:
             raise DimensionMismatch(f"{self.n} vs {v.n}")
-        return self._get_solver().solve_integral(list(v.flat())) is not None
+        return self._get_solver().solve_integral(v.flat()) is not None
 
     __contains__ = contains
 
     def coefficients(self, v: Vector) -> Optional[list[int]]:
         if v.n != self.n or v.ring is not self.ring:
             return None
-        return self._get_solver().solve_integral(list(v.flat()))
+        return self._get_solver().solve_integral(v.flat())
 
     def is_invariant(self, m: Monomial) -> bool:
         """True iff m maps every basis vector back into the lattice."""
@@ -171,7 +176,9 @@ class Lattice:
             v = [sum(Fraction(y[i]) * zmat[i][j] for i in range(self.rank))
                  for j in range(len(zmat[0]))]
             c = solver.solve(v)
-            assert c is not None
+            if c is None:
+                raise CrystrefError(
+                    "a lattice vector on the line left its span")
             t = ring.zero()
             for cs, b in zip(c, basis):
                 t = t + b * cs

@@ -1,5 +1,6 @@
 """Exact linear algebra helpers: rational row reduction, integer Hermite-style
-row reduction with unimodular tracking, and repeated-solve helpers.
+row reduction with unimodular tracking, and a repeated-solve helper whose
+integral solves use precomputed integer matrices only.
 
 Everything here is dense and desk-scale (dimensions at most ~20); clarity and
 exactness over asymptotics.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 FracRow = list[Fraction]
@@ -72,28 +74,53 @@ def frac_invert(rows: Sequence[Sequence[Fraction]]) -> list[FracRow]:
 
 
 class RowSolver:
-    """Solves x @ G = v repeatedly for a fixed G with independent rows."""
+    """Solves x @ G = v repeatedly for a fixed G with independent rows.
 
-    __slots__ = ("gmat", "k", "ncols", "piv_cols", "inv_piv")
+    The constructor builds integer data once: L / dL, the inverse of G on its
+    pivot columns placed on those rows (so v @ L / dL is the only candidate
+    x), and C, the integer row-span condition: v lies in the row span of G
+    iff v @ C == 0 (C is L G - I scaled to integers, keeping only the columns
+    off the pivots, since the others vanish).  Integral solves then need no
+    rational arithmetic: v is scaled to integers over the lcm of its
+    denominators (H. Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, section 2.4).
+    """
+
+    __slots__ = ("gmat", "k", "ncols", "piv_cols", "inv_piv", "lmat", "dl",
+                 "cmat", "_lcols", "_ccols")
 
     def __init__(self, gmat: Sequence[Sequence[Fraction]]):
         self.gmat = [[Fraction(x) for x in row] for row in gmat]
         self.k = len(self.gmat)
         self.ncols = len(self.gmat[0]) if self.k else 0
-        _, pivots = frac_rref(self.gmat)
-        if len(pivots) != self.k:
+        # one reduction of [G | I] gives R = G_P^-1 G on the left and G_P^-1
+        # on the right; a pivot on the right means dependent rows
+        eye = [[Fraction(int(i == j)) for j in range(self.k)]
+               for i in range(self.k)]
+        rref, pivots = frac_rref([row + e for row, e in zip(self.gmat, eye)])
+        if any(c >= self.ncols for c in pivots):
             raise ValueError("rows are not independent")
         self.piv_cols = pivots
-        sub = [[self.gmat[i][c] for i in range(self.k)] for c in pivots]
-        # sub[a][b] = G[b][piv_cols[a]]; we need inverse of G restricted to pivot cols
-        self.inv_piv = frac_invert(sub)
+        self.inv_piv = inv = [row[self.ncols:] for row in rref]
+        free = [c for c in range(self.ncols) if c not in pivots]
+        lrows = [[Fraction(0)] * self.k for _ in range(self.ncols)]
+        # C = L G - I on the free columns: the rows of R at the pivots, -I off
+        crows = [[Fraction(-int(i == j)) for j in free]
+                 for i in range(self.ncols)]
+        for a, c in enumerate(pivots):
+            lrows[c] = inv[a]
+            crows[c] = [rref[a][j] for j in free]
+        self.lmat, self.dl = int_matrix_and_den(lrows)
+        self.cmat = int_matrix_and_den(crows)[0]
+        self._lcols = [tuple(col) for col in zip(*self.lmat)]
+        self._ccols = [tuple(col) for col in zip(*self.cmat)]
 
     def solve(self, v: Sequence[Fraction]) -> Optional[FracRow]:
         """Return x with x @ G == v, or None when v is outside the row span."""
         if self.k == 0:
             return [] if all(x == 0 for x in v) else None
         vj = [v[c] for c in self.piv_cols]
-        x = [sum(self.inv_piv[b][a] * vj[a] for a in range(self.k))
+        x = [sum(vj[a] * self.inv_piv[a][b] for a in range(self.k))
              for b in range(self.k)]
         for col in range(self.ncols):
             if sum(x[b] * self.gmat[b][col] for b in range(self.k)) != v[col]:
@@ -101,11 +128,21 @@ class RowSolver:
         return x
 
     def solve_integral(self, v: Sequence[Fraction]) -> Optional[list[int]]:
-        """Like solve, but only succeeds when the solution is integral."""
-        x = self.solve(v)
-        if x is None or any(xi.denominator != 1 for xi in x):
-            return None
-        return [int(xi) for xi in x]
+        """Like solve, but only succeeds when the solution is integral; exact
+        integer arithmetic on v scaled over the lcm of its denominators."""
+        den = lcm(*(x.denominator for x in v))
+        vi = [x.numerator * (den // x.denominator) for x in v]
+        for col in self._ccols:
+            if sum(map(mul, vi, col)):
+                return None
+        scale = den * self.dl
+        out = []
+        for col in self._lcols:
+            q, rem = divmod(sum(map(mul, vi, col)), scale)
+            if rem:
+                return None
+            out.append(q)
+        return out
 
 
 # -- integer matrices ------------------------------------------------------
@@ -113,11 +150,8 @@ class RowSolver:
 def int_matrix_and_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """(numerator matrix, denominator) with rows = num / den exactly; den is
     the lcm of the entries' denominators."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    out = [[int(Fraction(x) * den) for x in row] for row in rows]
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    out = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     return out, den
 
 

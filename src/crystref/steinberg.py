@@ -20,6 +20,8 @@ stay below 2**62, or the sweep raises CrystrefError.
 
 from __future__ import annotations
 
+import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .affine import (EMPTY, AffineMap, AffineSubspace, Monomial, Vector,
-                     compose, fixed_space, is_reflection, power,
+                     fixed_space, is_central_reflection, power,
                      subspace_satisfies_form)
 from .catalog import GroupId, GroupSpec, build_group, catalog_ids
 from .errors import ExpectedPositiveGroup, NotAMember, CrystrefError
@@ -38,7 +40,7 @@ from .hyperplanes import (Branch, HyperplaneFamily, LinearForm, Witness,
                           point_on_arrangement, reflection_families,
                           subspace_on_arrangement, witness_reflection)
 from .lattices import ScalarModule
-from .linalg import RowSolver, int_matrix_and_den
+from .linalg import int_matrix_and_den
 from .scalars import _FOLDED, _REDUCTION, Ring, Scalar
 
 NO_FIXED_POINT = "no_fixed_point"
@@ -248,11 +250,14 @@ def witness_from_conditions(spec: GroupSpec, g: AffineMap) -> Optional[Witness]:
 # -- the per-element oracle ---------------------------------------------------
 
 def _is_reflection_power(g: AffineMap) -> bool:
-    order = g.lin.order()
-    h = AffineMap.identity(g.ring, g.n)
-    for _ in range(order):
-        h = compose(h, g)
-        if is_reflection(h):
+    """True iff some power g^k (1 <= k <= order of Lin(g)) is a reflection.
+    The powers of the linear part are stepped alone; the translation of g^k
+    is built only when sigma^k is a central reflection."""
+    sigma = Monomial.identity(g.ring, g.n)
+    for k in range(1, g.lin.order() + 1):
+        sigma = sigma * g.lin
+        if (is_central_reflection(sigma)
+                and not fixed_space(power(g, k)).is_empty):
             return True
     return False
 
@@ -351,22 +356,17 @@ def _ring_matrices(ring: Ring) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _module_solver_data(module: ScalarModule):
-    """(L, dL, C, dC), integer matrices over denominators: y = x @ L / dL are
-    the candidate integer coordinates of a scalar with coordinate row x, and
-    x @ C == 0 (C / dC = L G - I) is its row-span condition; L has no columns
-    for the zero module."""
+    """(L, dL, C), integer matrices from the module's solver, each padded to
+    square: y = x @ L / dL are the candidate integer coordinates of a scalar
+    with coordinate row x, and x @ C == 0 is its row-span condition; L is zero
+    for the zero module, whose condition is x == 0."""
     width = module.ring.flat_width
-    gmat = [list(g.coordinates()) for g in module.gens]
-    k = len(gmat)
-    L = [[Fraction(0)] * k for _ in range(width)]
-    if k:
-        solver = RowSolver(gmat)
-        for a in range(k):
-            for b in range(k):
-                L[solver.piv_cols[a]][b] = solver.inv_piv[b][a]
-    C = [[sum(L[i][t] * gmat[t][j] for t in range(k)) - (1 if i == j else 0)
-          for j in range(width)] for i in range(width)]
-    return (*int_matrix_and_den(L), *int_matrix_and_den(C))
+    if module.is_zero():
+        return [[0] * width] * width, 1, [[-int(i == j) for j in range(width)]
+                                          for i in range(width)]
+    solver = module.solver()
+    return ([row + [0] * (width - len(row)) for row in solver.lmat], solver.dl,
+            [row + [0] * (width - len(row)) for row in solver.cmat])
 
 
 class _Kernel:
@@ -386,10 +386,10 @@ class _Kernel:
             form = fam.form
             k = spec.n if form.k is None else form.k - 1
             for branch in fam.branches:
-                L, dl, C, _ = _module_solver_data(branch.constants)
+                L, dl, C = _module_solver_data(branch.constants)
                 self.forms.append((form.j - 1, k, form.m))
                 self.d1.append(self.den * self.norm * dl)
-                ls.append([row + [0] * (width - len(row)) for row in L])
+                ls.append(L)
                 cs.append(C)
         ls = np.array(ls, dtype=object).reshape(-1, width, width)
         cs = np.array(cs, dtype=object).reshape(-1, width, width)
@@ -498,6 +498,19 @@ def _coefficient_grid(m: int, bound: int, idx=None) -> np.ndarray:
     return np.stack(cols, axis=1).astype(np.int64)
 
 
+def _sample(grid_total: int, budget: Optional[int],
+            seed: int) -> Optional[list[int]]:
+    """The sorted flat indices of a deterministic uniform sample of `budget`
+    grid elements, or None when the budget covers the grid.  Grids past
+    sys.maxsize elements are refused: random.sample cannot index them."""
+    if grid_total > sys.maxsize:
+        raise CrystrefError(f"the grid of {grid_total} elements is too large "
+                            "to sweep or sample")
+    if budget is None or grid_total <= budget:
+        return None
+    return sorted(random.Random(seed).sample(range(grid_total), budget))
+
+
 def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
           confirm_cap: int = 200, cap: int = 100_000,
           seed: int = 12345) -> SweepReport:
@@ -515,11 +528,9 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
     grid_total = per_sigma * len(sigmas)
     kernel = _Kernel(spec, bound)
 
+    chosen = _sample(grid_total, budget, seed)
     sampled: Optional[dict[int, np.ndarray]] = None
-    if budget is not None and grid_total > budget:
-        import random
-        rng = random.Random(seed)
-        chosen = sorted(rng.sample(range(grid_total), budget))
+    if chosen is not None:
         sampled = {}
         by_sigma: dict[int, list[int]] = {}
         for flat in chosen:
@@ -603,10 +614,9 @@ def element_stream(spec: GroupSpec, bound: int = 1,
             tcache[gi] = t
         return AffineMap(sigmas[si], t)
 
-    if budget is not None and grid_total > budget:
-        import random
-        rng = random.Random(seed)
-        for flat in sorted(rng.sample(range(grid_total), budget)):
+    chosen = _sample(grid_total, budget, seed)
+    if chosen is not None:
+        for flat in chosen:
             si = flat // per_sigma
             if lin_filter is not None and not lin_filter(sigmas[si]):
                 continue

@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystref import (AffineMap, DimensionMismatch, EMPTY, Monomial, Ring,
                       Vector, compose, fixed_space, has_finite_order,
                       is_central_reflection, is_reflection, power,
                       subspace_contains, subspace_satisfies_form)
 from crystref.hyperplanes import LinearForm
-from conftest import random_affine, random_monomial, random_vector
+from conftest import (dense_fixed_space, dense_rank, random_affine,
+                      random_monomial, random_vector)
 
 
 def _diag(ring, exps):
@@ -86,15 +88,13 @@ def test_is_central_reflection():
 
 
 def test_central_reflection_matches_cycle_count(rng):
-    # independent oracle: rank(1 - m) = n - #(weight-product-one cycles)
-    for ring in (Ring(3), Ring(4), Ring(6)):
-        for n in (1, 2, 3):
+    # the cycle count is the implementation; dense rank(1 - m) is the oracle
+    for ring in (Ring(3), Ring(4), Ring(6), Ring(2, True)):
+        for n in (1, 2, 3, 4):
             for _ in range(60):
                 m = random_monomial(rng, ring, n)
-                ones = sum(1 for nodes, exps in m.cycles()
-                           if sum(exps) % ring.r == 0)
-                assert is_central_reflection(m) == (n - ones == 1 and
-                                                    not m.is_identity())
+                assert is_central_reflection(m) == (dense_rank(m) == 1), \
+                    m.text()
 
 
 def test_fixed_space_examples():
@@ -110,6 +110,36 @@ def test_fixed_space_examples():
     assert space.point() == Vector(r3, [c * c, -(c * c)])
     # substituting back fixes the point
     assert g.apply(space.point()) == space.point()
+
+
+_RINGS = (Ring(3), Ring(4), Ring(6), Ring(2, True))
+_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _affine_maps(draw):
+    """Monomial affine maps over the test rings, n <= 4.  Half of them take
+    the translation u - Lin(u), so that every cycle of weight product one
+    is consistent and the fixed space is not empty."""
+    ring = draw(st.sampled_from(_RINGS))
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    exps = draw(st.lists(st.integers(0, ring.r - 1), min_size=n, max_size=n))
+    lin = Monomial(ring, perm, exps)
+    width = ring.flat_width
+    u = Vector(ring, [ring.from_coordinates(draw(st.lists(
+        _FRACTIONS, min_size=width, max_size=width))) for _ in range(n)])
+    return AffineMap(lin, u - lin.apply(u) if draw(st.booleans()) else u)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_affine_maps())
+def test_fixed_space_matches_dense_reference(g):
+    fast, dense = fixed_space(g), dense_fixed_space(g)
+    assert fast.is_empty == dense.is_empty
+    if not fast.is_empty:
+        assert fast.base == dense.base
+        assert fast.directions == dense.directions
 
 
 def test_fixed_space_kernel_is_normalized():

@@ -42,6 +42,13 @@ def test_check_command(capsys):
     assert data["mismatch"] is False
 
 
+def test_check_refuses_grid_too_large_to_sample(capsys):
+    # the bound-10**8 box has more elements than random.sample can index
+    assert run(["check", "[G(4,1,2)]_2", "-B", "100000000",
+                "--budget", "10"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 def test_reflections_command(capsys):
     assert run(["reflections", "[G(6,2,2)]_2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from crystref import (AffineMap, ConstantNotAdmissible, EmptySubspace,
-                      Monomial, NotRankOne, Ring, ScalarModule, Vector,
-                      build_group, catalog_ids, enumerate_linear_group,
+from crystref import (AffineMap, ConstantNotAdmissible, CrystrefError,
+                      EmptySubspace, Monomial, NotRankOne, Ring, ScalarModule,
+                      Vector, build_group, catalog_ids, enumerate_linear_group,
                       fixed_space, in_window, is_central_reflection,
                       is_reflection, module_window, point_on_arrangement,
                       rank1_window, reflection_families,
                       subspace_on_arrangement, subspace_satisfies_form,
                       witness_reflection)
 from crystref.affine import EMPTY, AffineSubspace
+from crystref import hyperplanes
 from crystref.hyperplanes import family_index as _family_index
 
 
@@ -130,6 +131,18 @@ def test_subspace_on_arrangement_examples():
     wit2 = subspace_on_arrangement(spec2, space)
     assert wit2 is not None
     assert subspace_satisfies_form(space, wit2.family.form, wit2.constant)
+
+
+def test_off_arrangement_point_gives_up_with_an_error(monkeypatch):
+    spec = build_group("[G(3,1,2)]_2")
+    space = fixed_space(spec.counterexample)
+    assert hyperplanes.off_arrangement_point(spec, space) is not None
+    # every candidate on a mirror: the search ends in an error, not an
+    # AssertionError
+    monkeypatch.setattr(hyperplanes, "point_on_arrangement",
+                        lambda spec, u: object())
+    with pytest.raises(CrystrefError):
+        hyperplanes.off_arrangement_point(spec, space)
 
 
 def test_witness_reflection_examples():

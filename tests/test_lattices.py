@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from crystref import (Lattice, Monomial, RankDeficient, Ring, RingMismatch,
-                      ScalarModule, Vector, ZeroDirection, build_group,
-                      lattice_from_generators)
+from crystref import (CrystrefError, Lattice, Monomial, RankDeficient, Ring,
+                      RingMismatch, ScalarModule, Vector, ZeroDirection,
+                      build_group, lattice_from_generators)
+from crystref import linalg
 
 
 def _zx(ring):
@@ -117,6 +119,52 @@ def test_line_intersection_soundness_and_completeness(rng):
                 x = x + b * Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
             assert mod.contains(x) == spec.lattice.contains(w.scale(x)), \
                 (name, x.text())
+
+
+def test_line_intersection_guard_raises_error(monkeypatch):
+    # a lattice vector on the line always solves; if it did not, the guard
+    # must raise an error rather than an assert that python -O strips
+    spec = build_group("[G(4,1,2)]_2")
+    w = Vector.basis(spec.ring, 2, 1)
+    monkeypatch.setattr(linalg.RowSolver, "solve", lambda self, v: None)
+    with pytest.raises(CrystrefError):
+        spec.lattice.line_intersection(w)
+
+
+_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _solver_cases(draw):
+    """(G, v, x): G has independent rows; v = x @ G, plus a nonzero vector
+    of the right kernel of G (so v leaves the row span) when `x` is None.
+    Coefficients x are integral or fractional."""
+    ncols = draw(st.integers(1, 6))
+    k = draw(st.integers(1, ncols))
+    gmat = draw(st.lists(st.lists(_FRACTIONS, min_size=ncols, max_size=ncols),
+                         min_size=k, max_size=k))
+    assume(linalg.frac_rank(gmat) == k)
+    coeff = st.integers(-4, 4).map(Fraction) if draw(st.booleans()) \
+        else _FRACTIONS
+    x = draw(st.lists(coeff, min_size=k, max_size=k))
+    v = [sum(x[i] * gmat[i][j] for i in range(k)) for j in range(ncols)]
+    if k < ncols and draw(st.booleans()):
+        w = linalg.frac_right_kernel(gmat)[0]
+        c = draw(_FRACTIONS.filter(bool))
+        return gmat, [a + c * b for a, b in zip(v, w)], None
+    return gmat, v, x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_solver_cases())
+def test_solve_integral_matches_fraction_solve(case):
+    gmat, v, x = case
+    solver = linalg.RowSolver(gmat)
+    exact = solver.solve(v)
+    assert exact == x
+    want = None if x is None or any(xi.denominator != 1 for xi in x) \
+        else [int(xi) for xi in x]
+    assert solver.solve_integral(v) == want
 
 
 def test_module_membership_examples():

@@ -1,0 +1,34 @@
+"""Source lint: guard checks in the library raise errors and are never
+assert statements, which python -O strips."""
+
+import ast
+from pathlib import Path
+
+import crystref
+
+SRC = Path(crystref.__file__).resolve().parent
+
+
+def _assertion_sites(tree: ast.AST):
+    """(line, kind) of every assert statement and every raise of
+    AssertionError in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert statement"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node.lineno, "raise AssertionError"
+
+
+def test_lint_finds_assertions():
+    tree = ast.parse("assert x\nraise AssertionError('y')\n"
+                     "raise AssertionError\nraise ValueError('z')\n")
+    assert [line for line, _ in _assertion_sites(tree)] == [1, 2, 3]
+
+
+def test_library_has_no_assertions():
+    found = [f"{path.relative_to(SRC)}:{line}: {kind}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, kind in _assertion_sites(ast.parse(path.read_text()))]
+    assert not found, found

@@ -12,8 +12,8 @@ from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
                       ScalarModule, Vector, build_group, catalog_ids,
                       check_counterexample, compose, fixed_space,
                       module_window, orbit_classes, orbit_equiv, power,
-                      subspace_satisfies_form, sweep, sweep_exact,
-                      verify_element, witness_from_conditions,
+                      reflection_families, subspace_satisfies_form, sweep,
+                      sweep_exact, verify_element, witness_from_conditions,
                       witness_from_cycle)
 from crystref import steinberg
 from crystref.cli import run
@@ -152,13 +152,13 @@ def test_witness_from_conditions_identity_absent():
 
 def test_componentwise_solvability_matches_dense_solver(rng):
     from crystref.steinberg import has_fixed_point_componentwise
-    from conftest import random_affine
+    from conftest import dense_fixed_space, random_affine
     for ring in (Ring(3), Ring(4), Ring(6), Ring(2, True)):
         for n in (1, 2, 3):
             for _ in range(60):
                 g = random_affine(rng, ring, n, with_alpha=True)
                 assert has_fixed_point_componentwise(g) == \
-                    (not fixed_space(g).is_empty), g.text()
+                    (not dense_fixed_space(g).is_empty), g.text()
 
 
 def test_verify_element_examples():
@@ -327,6 +327,31 @@ def test_int64_guard_refuses_overflowing_products():
         with pytest.raises(CrystrefError):
             steinberg._prepare_sigma(kernel, sigma)
     assert run(["check", spec.name, "-B", str(2 ** 61), "--budget", "10"]) == 2
+
+
+def test_prepared_branches_match_free_cycle_condition():
+    # a branch gets a test for sigma exactly when its form is constant on the
+    # fixed spaces of every (sigma, t): the form vanishes on every direction
+    # of the fixed space of sigma itself
+    for gid in catalog_ids():
+        spec = build_group(gid)
+        kernel = steinberg._Kernel(spec, 1)
+        families = reflection_families(spec)
+        for sigma in spec.elements_of_linear_part():
+            dirs = fixed_space(AffineMap.linear(sigma)).directions
+            want = sum(len(fam.branches) for fam in families
+                       if all(fam.form.evaluate(d).is_zero() for d in dirs))
+            got = len(steinberg._prepare_sigma(kernel, sigma)[1])
+            assert got == want, (spec.name, sigma.text())
+
+
+def test_sampling_refuses_grids_past_maxsize():
+    spec = build_group("[G(4,1,2)]_2")
+    # (2 * 10**8 + 1)**4 translations per linear part: past sys.maxsize
+    with pytest.raises(CrystrefError):
+        sweep(spec, bound=10 ** 8, budget=10)
+    with pytest.raises(CrystrefError):
+        next(element_stream(spec, bound=10 ** 8, budget=10))
 
 
 def test_table_reports_failed_certification_as_mismatch(monkeypatch, capsys):
