@@ -10,6 +10,7 @@ is kept only for membership in a subspace.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, EmptySubspace, RingMismatch
@@ -74,6 +75,13 @@ class Vector:
         for x in self.coords:
             out.extend(x.coordinates())
         return tuple(out)
+
+    def int_flat(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, den): flat() as integers over the lcm of the
+        coordinates' denominators."""
+        parts = [x.int_coordinates() for x in self.coords]
+        den = lcm(1, *(e for _, e in parts))
+        return tuple(v * (den // e) for nums, e in parts for v in nums), den
 
     @classmethod
     def from_flat(cls, ring: Ring, n: int, flat: Sequence[Fraction]) -> "Vector":
@@ -227,14 +235,13 @@ class Monomial:
         return sum(self.exps) % self.ring.r
 
     def order(self) -> int:
-        from math import lcm
         r = self.ring.r
         order = 1
         for nodes, exps in self.cycles():
             length = len(nodes)
             prod = sum(exps) % r
             # cycle^length is scalar xi^prod on the block
-            scalar_order = r // __import__("math").gcd(r, prod) if prod else 1
+            scalar_order = r // gcd(r, prod) if prod else 1
             order = lcm(order, length * scalar_order)
         return order
 

@@ -141,8 +141,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rep = full_table_report(bound=args.bound, budget=args.budget,
-                            jobs=args.jobs)
+    rep = full_table_report(bound=args.bound, budget=args.budget)
 
     def human(d):
         print(f"{'group':22s} {'n':>2s} {'expected':8s} {'computed':8s} "
@@ -222,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute the verdict table for all catalog rows")
     p.add_argument("--bound", "-B", type=int, default=1)
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 

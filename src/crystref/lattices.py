@@ -1,15 +1,17 @@
 """Z-lattices in C^n given by module generators, with exact membership,
 invariance checks and line intersections; plus rank-<=4 modules of scalars.
 
-A lattice is stored as a Z-basis of vectors; membership scales the flattened
-vector to integers and applies the precomputed integer inverse of the basis
-(linalg.RowSolver): a row-span test and a divisibility test, with no rational
-arithmetic.
+A lattice is stored as a Z-basis of vectors; membership reads the flattened
+vector as integer numerators over one denominator (Vector.int_flat) and
+applies the precomputed integer inverse of the basis (linalg.RowSolver): a
+row-span test and a divisibility test, with no rational arithmetic.  Line
+intersections work on the integer Z-basis as well: the left kernel of an
+integer matrix and one integer solve per generator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -51,7 +53,7 @@ class ScalarModule:
             raise RingMismatch("membership across rings")
         if not self.gens:
             return x.is_zero()
-        return self.solver().solve_integral(x.coordinates()) is not None
+        return self.solver().solve_integral(*x.int_coordinates()) is not None
 
     __contains__ = contains
 
@@ -59,7 +61,7 @@ class ScalarModule:
         """Integer coordinates of x in the generator basis, if any."""
         if not self.gens:
             return [] if x.is_zero() else None
-        return self.solver().solve_integral(x.coordinates())
+        return self.solver().solve_integral(*x.int_coordinates())
 
     def solver(self) -> linalg.RowSolver:
         """The solver of the generator coordinate matrix, built once."""
@@ -130,14 +132,14 @@ class Lattice:
             raise RingMismatch("vector from a different ring")
         if v.n != self.n:
             raise DimensionMismatch(f"{self.n} vs {v.n}")
-        return self._get_solver().solve_integral(v.flat()) is not None
+        return self._get_solver().solve_integral(*v.int_flat()) is not None
 
     __contains__ = contains
 
     def coefficients(self, v: Vector) -> Optional[list[int]]:
         if v.n != self.n or v.ring is not self.ring:
             return None
-        return self._get_solver().solve_integral(v.flat())
+        return self._get_solver().solve_integral(*v.int_flat())
 
     def is_invariant(self, m: Monomial) -> bool:
         """True iff m maps every basis vector back into the lattice."""
@@ -160,29 +162,32 @@ class Lattice:
         ring = self.ring
         basis = ring.basis_scalars()
         fmat = [list(w.scale(b).flat()) for b in basis]
-        zmat = [list(b.flat()) for b in self.zbasis]
-        # right kernel of F cuts out the complement of span(F)
-        akern = linalg.frac_right_kernel(fmat)
+        zmat, zden = linalg.int_matrix_and_den([b.flat() for b in self.zbasis])
+        # the right kernel of F cuts out the complement of span(F); scaling Z
+        # and each kernel vector by positive integers scales the columns of
+        # Z K by positive factors, which leaves its left kernel unchanged
+        akern = [linalg.int_matrix_and_den([vec])[0][0]
+                 for vec in linalg.frac_right_kernel(fmat)]
         if akern:
-            bmat = [[sum(zrow[j] * avec[j] for j in range(len(avec)))
-                     for avec in akern] for zrow in zmat]
-            # scaling to integers leaves the left kernel unchanged
-            ys = linalg.int_left_kernel(linalg.int_matrix_and_den(bmat)[0])
+            ys = linalg.int_left_kernel(
+                [[sum(map(mul, zrow, avec)) for avec in akern] for zrow in zmat])
         else:
             ys = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
         solver = linalg.RowSolver(fmat)
+        # the basis scalars are coordinate unit vectors: x @ units places the
+        # solution's coefficients on the scalar's coordinates
+        units = [b.int_coordinates()[0] for b in basis]
+        pad = [0] * (4 - ring.flat_width)
         gens = []
         for y in ys:
-            v = [sum(Fraction(y[i]) * zmat[i][j] for i in range(self.rank))
-                 for j in range(len(zmat[0]))]
-            c = solver.solve(v)
-            if c is None:
+            v = [sum(map(mul, y, col)) for col in zip(*zmat)]
+            solved = solver.solve_rational(v, zden)
+            if solved is None:
                 raise CrystrefError(
                     "a lattice vector on the line left its span")
-            t = ring.zero()
-            for cs, b in zip(c, basis):
-                t = t + b * cs
-            gens.append(t)
+            xs, den = solved
+            nums = [sum(map(mul, xs, col)) for col in zip(*units)]
+            gens.append(Scalar._raw(ring, *nums, *pad, den))
         return ScalarModule(ring, gens)
 
     def to_dict(self) -> dict:

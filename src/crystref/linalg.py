@@ -1,6 +1,6 @@
 """Exact linear algebra helpers: rational row reduction, integer Hermite-style
 row reduction with unimodular tracking, and a repeated-solve helper whose
-integral solves use precomputed integer matrices only.
+solves use precomputed integer matrices only.
 
 Everything here is dense and desk-scale (dimensions at most ~20); clarity and
 exactness over asymptotics.
@@ -76,69 +76,61 @@ def frac_invert(rows: Sequence[Sequence[Fraction]]) -> list[FracRow]:
 class RowSolver:
     """Solves x @ G = v repeatedly for a fixed G with independent rows.
 
-    The constructor builds integer data once: L / dL, the inverse of G on its
-    pivot columns placed on those rows (so v @ L / dL is the only candidate
-    x), and C, the integer row-span condition: v lies in the row span of G
-    iff v @ C == 0 (C is L G - I scaled to integers, keeping only the columns
-    off the pivots, since the others vanish).  Integral solves then need no
-    rational arithmetic: v is scaled to integers over the lcm of its
-    denominators (H. Cohen, A Course in Computational Algebraic Number
-    Theory, GTM 138, section 2.4).
+    The constructor reduces [G | I] once and keeps integer data only: L / dL,
+    the inverse of G on its pivot columns placed on those rows (so v @ L / dL
+    is the only candidate x), and C, the integer row-span condition: v lies
+    in the row span of G iff v @ C == 0 (C is L G - I scaled to integers,
+    keeping only the columns off the pivots, since the others vanish).
+    Solves take v as integer numerators over one denominator
+    (Scalar.int_coordinates, Vector.int_flat) and need no rational
+    arithmetic (H. Cohen, A Course in Computational Algebraic Number Theory,
+    GTM 138, section 2.4).
     """
 
-    __slots__ = ("gmat", "k", "ncols", "piv_cols", "inv_piv", "lmat", "dl",
-                 "cmat", "_lcols", "_ccols")
+    __slots__ = ("lmat", "dl", "cmat", "_lcols", "_ccols")
 
     def __init__(self, gmat: Sequence[Sequence[Fraction]]):
-        self.gmat = [[Fraction(x) for x in row] for row in gmat]
-        self.k = len(self.gmat)
-        self.ncols = len(self.gmat[0]) if self.k else 0
+        gmat = [[Fraction(x) for x in row] for row in gmat]
+        k = len(gmat)
+        ncols = len(gmat[0]) if k else 0
         # one reduction of [G | I] gives R = G_P^-1 G on the left and G_P^-1
         # on the right; a pivot on the right means dependent rows
-        eye = [[Fraction(int(i == j)) for j in range(self.k)]
-               for i in range(self.k)]
-        rref, pivots = frac_rref([row + e for row, e in zip(self.gmat, eye)])
-        if any(c >= self.ncols for c in pivots):
+        eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        rref, pivots = frac_rref([row + e for row, e in zip(gmat, eye)])
+        if any(c >= ncols for c in pivots):
             raise ValueError("rows are not independent")
-        self.piv_cols = pivots
-        self.inv_piv = inv = [row[self.ncols:] for row in rref]
-        free = [c for c in range(self.ncols) if c not in pivots]
-        lrows = [[Fraction(0)] * self.k for _ in range(self.ncols)]
+        free = [c for c in range(ncols) if c not in pivots]
+        lrows = [[Fraction(0)] * k for _ in range(ncols)]
         # C = L G - I on the free columns: the rows of R at the pivots, -I off
-        crows = [[Fraction(-int(i == j)) for j in free]
-                 for i in range(self.ncols)]
+        crows = [[Fraction(-int(i == j)) for j in free] for i in range(ncols)]
         for a, c in enumerate(pivots):
-            lrows[c] = inv[a]
+            lrows[c] = rref[a][ncols:]
             crows[c] = [rref[a][j] for j in free]
         self.lmat, self.dl = int_matrix_and_den(lrows)
         self.cmat = int_matrix_and_den(crows)[0]
         self._lcols = [tuple(col) for col in zip(*self.lmat)]
         self._ccols = [tuple(col) for col in zip(*self.cmat)]
 
-    def solve(self, v: Sequence[Fraction]) -> Optional[FracRow]:
-        """Return x with x @ G == v, or None when v is outside the row span."""
-        if self.k == 0:
-            return [] if all(x == 0 for x in v) else None
-        vj = [v[c] for c in self.piv_cols]
-        x = [sum(vj[a] * self.inv_piv[a][b] for a in range(self.k))
-             for b in range(self.k)]
-        for col in range(self.ncols):
-            if sum(x[b] * self.gmat[b][col] for b in range(self.k)) != v[col]:
-                return None
-        return x
-
-    def solve_integral(self, v: Sequence[Fraction]) -> Optional[list[int]]:
-        """Like solve, but only succeeds when the solution is integral; exact
-        integer arithmetic on v scaled over the lcm of its denominators."""
-        den = lcm(*(x.denominator for x in v))
-        vi = [x.numerator * (den // x.denominator) for x in v]
+    def solve_rational(self, nums: Sequence[int],
+                       den: int) -> Optional[tuple[list[int], int]]:
+        """The x with x @ G == nums / den as (numerators, denominator) =
+        (v @ L, den * dL), or None when v is outside the row span."""
         for col in self._ccols:
-            if sum(map(mul, vi, col)):
+            if sum(map(mul, nums, col)):
                 return None
-        scale = den * self.dl
+        return [sum(map(mul, nums, col)) for col in self._lcols], den * self.dl
+
+    def solve_integral(self, nums: Sequence[int],
+                       den: int) -> Optional[list[int]]:
+        """The x with x @ G == nums / den when it exists and is integral,
+        else None."""
+        solved = self.solve_rational(nums, den)
+        if solved is None:
+            return None
+        xs, scale = solved
         out = []
-        for col in self._lcols:
-            q, rem = divmod(sum(map(mul, vi, col)), scale)
+        for x in xs:
+            q, rem = divmod(x, scale)
             if rem:
                 return None
             out.append(q)

@@ -6,11 +6,17 @@ xi into the rational part.  The formal parameter ``al`` (rendered ``al`` in
 text form) is transcendental: values are degree <= 1 polynomials in it, and no
 operation in the library ever multiplies two scalars that both carry a formal
 part.
+
+A scalar is stored as integer numerators over one positive denominator, in
+lowest terms, so equality is a comparison of fields and every operation is
+integer arithmetic with one gcd per result (H. Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, section 2.4).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import AlphaNotInvertible, AlphaSquared, DivisionByZero, RingMismatch
@@ -23,7 +29,6 @@ _REDUCTION = {3: (-1, -1), 4: (0, -1), 6: (1, -1)}
 _FOLDED = {1: 1, 2: -1}
 
 _RING_CACHE: dict[tuple[int, bool], "Ring"] = {}
-_FRAC_ZERO = Fraction(0)
 
 
 class Ring:
@@ -117,62 +122,95 @@ class Ring:
 
 
 class Scalar:
-    """Value a + b*xi + c*al + d*xi*al with exact rational coefficients.
+    """Value (na + nb*xi + nc*al + nd*xi*al) / den: integer numerators over
+    one positive denominator.
 
-    Immutable; all arithmetic returns new instances.  For r in {1, 2} the xi
-    coefficients are folded into the rational part at construction, and rings
-    without the formal parameter force c = d = 0.
+    Immutable; all arithmetic returns new instances.  Every scalar is kept in
+    lowest terms, gcd(na, nb, nc, nd, den) == 1, so equal values have equal
+    fields.  For r in {1, 2} the xi coefficients are folded into the rational
+    part at construction, and rings without the formal parameter force
+    nc = nd = 0.  The rational coefficients a, b, c, d are read-only
+    Fraction views.
     """
 
-    __slots__ = ("ring", "a", "b", "c", "d", "_hash")
+    __slots__ = ("ring", "na", "nb", "nc", "nd", "den", "_hash")
 
     def __init__(self, ring: Ring, a: RationalLike = 0, b: RationalLike = 0,
                  c: RationalLike = 0, d: RationalLike = 0) -> None:
-        a = Fraction(a)
-        b = Fraction(b)
-        c = Fraction(c)
-        d = Fraction(d)
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            den = 1
+        else:
+            fa, fb, fc, fd = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+            den = lcm(fa.denominator, fb.denominator, fc.denominator,
+                      fd.denominator)
+            a, b, c, d = (x.numerator * (den // x.denominator)
+                          for x in (fa, fb, fc, fd))
         if not ring.is_quadratic:
             fold = _FOLDED[ring.r]
-            a, b = a + fold * b, Fraction(0)
-            c, d = c + fold * d, Fraction(0)
+            a, b, c, d = a + fold * b, 0, c + fold * d, 0
         if not ring.alpha and (c or d):
             raise RingMismatch("formal part in a ring without the parameter")
+        g = gcd(a, b, c, d, den)
         self.ring = ring
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        self.na = a // g
+        self.nb = b // g
+        self.nc = c // g
+        self.nd = d // g
+        self.den = den // g
         self._hash = None
 
     @classmethod
-    def _raw(cls, ring: Ring, a: Fraction, b: Fraction, c: Fraction,
-             d: Fraction) -> "Scalar":
-        """Construction fast path: fields must already be reduced Fractions
-        respecting the ring's folding/parameter constraints."""
+    def _raw(cls, ring: Ring, na: int, nb: int, nc: int, nd: int,
+             den: int) -> "Scalar":
+        """Construction fast path: integer numerators over a nonzero den,
+        reduced to lowest terms with one gcd.  The numerators must already
+        respect the ring's folding/parameter constraints."""
+        g = gcd(na, nb, nc, nd, den)
+        if den < 0:
+            g = -g
         s = object.__new__(cls)
         s.ring = ring
-        s.a = a
-        s.b = b
-        s.c = c
-        s.d = d
+        s.na = na // g
+        s.nb = nb // g
+        s.nc = nc // g
+        s.nd = nd // g
+        s.den = den // g
         s._hash = None
         return s
+
+    # -- rational views --------------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nb, self.den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.nc, self.den)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.nd, self.den)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not (self.na or self.nb or self.nc or self.nd)
 
     def is_one(self) -> bool:
-        return self.a == 1 and not (self.b or self.c or self.d)
+        return (self.na == 1 and self.den == 1
+                and not (self.nb or self.nc or self.nd))
 
     def is_cyclo(self) -> bool:
         """True when the formal part vanishes."""
-        return not (self.c or self.d)
+        return not (self.nc or self.nd)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self.nb or self.nc or self.nd)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -194,20 +232,33 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar._raw(self.ring, self.a + other.a, self.b + other.b,
-                           self.c + other.c, self.d + other.d)
+        e1, e2 = self.den, other.den
+        if e1 == e2:
+            return Scalar._raw(self.ring, self.na + other.na, self.nb + other.nb,
+                               self.nc + other.nc, self.nd + other.nd, e1)
+        return Scalar._raw(self.ring, self.na * e2 + other.na * e1,
+                           self.nb * e2 + other.nb * e1,
+                           self.nc * e2 + other.nc * e1,
+                           self.nd * e2 + other.nd * e1, e1 * e2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar._raw(self.ring, -self.a, -self.b, -self.c, -self.d)
+        return Scalar._raw(self.ring, -self.na, -self.nb, -self.nc, -self.nd,
+                           self.den)
 
     def __sub__(self, other) -> "Scalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar._raw(self.ring, self.a - other.a, self.b - other.b,
-                           self.c - other.c, self.d - other.d)
+        e1, e2 = self.den, other.den
+        if e1 == e2:
+            return Scalar._raw(self.ring, self.na - other.na, self.nb - other.nb,
+                               self.nc - other.nc, self.nd - other.nd, e1)
+        return Scalar._raw(self.ring, self.na * e2 - other.na * e1,
+                           self.nb * e2 - other.nb * e1,
+                           self.nc * e2 - other.nc * e1,
+                           self.nd * e2 - other.nd * e1, e1 * e2)
 
     def __rsub__(self, other) -> "Scalar":
         return -self + other
@@ -216,49 +267,50 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (self.is_cyclo() or other.is_cyclo()):
+        a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
+        a2, b2, c2, d2 = other.na, other.nb, other.nc, other.nd
+        if (c1 or d1) and (c2 or d2):
             raise AlphaSquared(f"({self}) * ({other}) would carry al^2")
         ring = self.ring
-        if ring.is_quadratic:
-            u, v = _REDUCTION[ring.r]
-            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-            # cyclotomic part times cyclotomic part
-            aa = a1 * a2 + v * b1 * b2
-            bb = a1 * b2 + b1 * a2 + u * b1 * b2
-            # exactly one operand may carry a formal part
-            if self.is_cyclo():
-                c1, d1, c2, d2 = other.c, other.d, self.a, self.b
-            else:
-                c1, d1, c2, d2 = self.c, self.d, other.a, other.b
-            cc = c1 * c2 + v * d1 * d2
-            dd = c1 * d2 + d1 * c2 + u * d1 * d2
-            return Scalar._raw(ring, aa, bb, cc, dd)
-        # r in {1, 2}: everything rational in xi, only a and c survive
-        zero = _FRAC_ZERO
-        if self.is_cyclo():
-            return Scalar._raw(ring, self.a * other.a, zero,
-                               self.a * other.c, zero)
-        return Scalar._raw(ring, self.a * other.a, zero,
-                           self.c * other.a, zero)
+        den = self.den * other.den
+        rel = _REDUCTION.get(ring.r)
+        if rel is None:
+            # r in {1, 2}: everything rational in xi, only a and c survive
+            return Scalar._raw(ring, a1 * a2, 0, a1 * c2 + c1 * a2, 0, den)
+        u, v = rel
+        # cyclotomic part times cyclotomic part
+        aa = a1 * a2 + v * b1 * b2
+        bb = a1 * b2 + b1 * a2 + u * b1 * b2
+        # at most one operand carries a formal part: it times the other's
+        # cyclotomic part
+        if c2 or d2:
+            c1, d1 = c2, d2
+        else:
+            a1, b1 = a2, b2
+        cc = c1 * a1 + v * d1 * b1
+        dd = c1 * b1 + d1 * a1 + u * d1 * b1
+        return Scalar._raw(ring, aa, bb, cc, dd, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         """Field inverse; defined for nonzero scalars without formal part."""
-        if not self.is_cyclo():
+        if self.nc or self.nd:
             raise AlphaNotInvertible(f"cannot invert {self}")
-        if self.is_zero():
+        a, b, e = self.na, self.nb, self.den
+        if not (a or b):
             raise DivisionByZero("inverse of zero")
         ring = self.ring
-        if not ring.is_quadratic:
-            return Scalar(ring, 1 / self.a)
-        u, v = _REDUCTION[ring.r]
-        a, b = self.a, self.b
-        # conjugate root xi' satisfies xi + xi' = u, xi * xi' = -v
+        rel = _REDUCTION.get(ring.r)
+        if rel is None:
+            return Scalar._raw(ring, e, 0, 0, 0, a)
+        u, v = rel
+        # conjugate root xi' satisfies xi + xi' = u, xi * xi' = -v, so
+        # 1 / ((a + b xi) / e) = e ((a + b u) - b xi) / (a^2 + a b u - b^2 v)
         norm = a * a + a * b * u - b * b * v
         if norm == 0:
             raise DivisionByZero("inverse of zero")
-        return Scalar(ring, (a + b * u) / norm, -b / norm)
+        return Scalar._raw(ring, (a + b * u) * e, -b * e, 0, 0, norm)
 
     def __truediv__(self, other) -> "Scalar":
         other = self._coerce(other)
@@ -289,26 +341,32 @@ class Scalar:
             return (self.a, self.b, self.c, self.d)
         return (self.a, self.b)
 
+    def int_coordinates(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, den): coordinates() as integers over one denominator."""
+        if self.ring.alpha:
+            return (self.na, self.nb, self.nc, self.nd), self.den
+        return (self.na, self.nb), self.den
+
     def cyclo_part(self) -> "Scalar":
-        return Scalar(self.ring, self.a, self.b)
+        return Scalar._raw(self.ring, self.na, self.nb, 0, 0, self.den)
 
     def formal_part(self) -> "Scalar":
         """Coefficient of the formal parameter, as a cyclotomic scalar."""
-        return Scalar(self.ring, self.c, self.d)
+        return Scalar._raw(self.ring, self.nc, self.nd, 0, 0, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Scalar(self.ring, other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.ring is other.ring and self.a == other.a
-                and self.b == other.b and self.c == other.c
-                and self.d == other.d)
+        return (self.ring is other.ring and self.na == other.na
+                and self.nb == other.nb and self.nc == other.nc
+                and self.nd == other.nd and self.den == other.den)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring.r, self.ring.alpha,
-                               self.a, self.b, self.c, self.d))
+            self._hash = hash((self.ring.r, self.ring.alpha, self.na, self.nb,
+                               self.nc, self.nd, self.den))
         return self._hash
 
     # -- text form -------------------------------------------------------
@@ -316,18 +374,18 @@ class Scalar:
     def text(self) -> str:
         """Canonical report form "a + b*x + c*al + d*x*al" (zero terms omitted)."""
         terms = []
-        for coeff, symbol in ((self.a, ""), (self.b, "x"),
-                              (self.c, "al"), (self.d, "x*al")):
-            if coeff == 0:
+        for num, symbol in ((self.na, ""), (self.nb, "x"),
+                            (self.nc, "al"), (self.nd, "x*al")):
+            if num == 0:
                 continue
-            mag = abs(coeff)
+            mag = abs(Fraction(num, self.den))
             if symbol and mag == 1:
                 body = symbol
             elif symbol:
                 body = f"{mag}*{symbol}"
             else:
                 body = f"{mag}"
-            terms.append(("-" if coeff < 0 else "+", body))
+            terms.append(("-" if num < 0 else "+", body))
         if not terms:
             return "0"
         sign, body = terms[0]

@@ -13,9 +13,10 @@ one integer matrix B over one denominator D.  Per linear part it solves the
 cycles for all basis vectors at once: multiplication by xi^e is a power of
 the integer companion matrix of the ring, and division by 1 - xi^k is an
 integer adjugate over the lcm N of the norms, so every value is an integer
-over D * N.  Translations are decoded as coeffs @ B over D.  Every product
-with a coefficient grid is guarded: bound * (largest column abs-sum) must
-stay below 2**62, or the sweep raises CrystrefError.
+over D * N.  Translations are decoded as coeffs @ B over D, straight into
+integer scalars.  Every product with a coefficient grid is guarded:
+bound * (largest column abs-sum) must stay below 2**62, or the sweep raises
+CrystrefError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
@@ -320,12 +320,11 @@ def _decode(spec: GroupSpec, basis: np.ndarray, den: int,
     integer product with the basis numerators, each entry over D."""
     ring = spec.ring
     width = ring.flat_width
-    pad = [Fraction(0)] * (4 - width)
+    pad = [0] * (4 - width)
     out = []
     for row in (coeffs @ basis).tolist():
-        q = [Fraction(v, den) for v in row]
-        out.append(Vector(ring, [Scalar._raw(ring, *q[i:i + width], *pad)
-                                 for i in range(0, len(q), width)]))
+        out.append(Vector(ring, [Scalar._raw(ring, *row[i:i + width], *pad, den)
+                                 for i in range(0, len(row), width)]))
     return out
 
 
@@ -489,6 +488,10 @@ class SweepReport:
         }
 
 
+# rows of the coefficient grid one block of a full sweep holds at most
+_CHUNK = 1 << 16
+
+
 def _coefficient_grid(m: int, bound: int, idx=None) -> np.ndarray:
     """Coefficient rows of the [-bound, bound]^m box, all of them or those at
     the flat indices idx."""
@@ -518,8 +521,10 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
     of the lattice basis; record every violation of the Steinberg property.
 
     When the full grid exceeds the budget, a deterministic uniform sample of
-    exactly `budget` elements is examined instead (exhaustive=False).  Flagged
-    violations are re-verified with the exact oracle up to confirm_cap."""
+    exactly `budget` elements is examined instead (exhaustive=False); a full
+    grid is walked in blocks of at most _CHUNK coefficient rows per linear
+    part, in flat-index order.  Flagged violations are re-verified with the
+    exact oracle up to confirm_cap."""
     start = time.perf_counter()
     sigmas = spec.elements_of_linear_part(cap)
     m = spec.lattice.rank
@@ -538,7 +543,11 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
         for si, gidxs in by_sigma.items():
             sampled[si] = _coefficient_grid(m, bound, gidxs)
 
-    full_grid = None if sampled is not None else _coefficient_grid(m, bound)
+    # a full grid is walked in blocks of at most _CHUNK rows, so memory stays
+    # bounded whatever the box; a grid that fits one block is built once
+    single = None
+    if sampled is None and per_sigma <= _CHUNK:
+        single = [_coefficient_grid(m, bound)]
     examined = 0
     with_fp = 0
     violations: list[ElementVerdict] = []
@@ -547,43 +556,49 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
         if sampled is not None:
             if si not in sampled:
                 continue
-            grid = sampled[si]
+            blocks = [sampled[si]]
+        elif single is not None:
+            blocks = single
         else:
-            grid = full_grid
+            blocks = (_coefficient_grid(m, bound, np.arange(
+                lo, min(lo + _CHUNK, per_sigma)))
+                for lo in range(0, per_sigma, _CHUNK))
         consistency, tests = _prepare_sigma(kernel, sigma)
-        examined += len(grid)
-        if consistency is not None:
-            cons = (grid @ consistency == 0).all(axis=1)
-        else:
-            cons = np.ones(len(grid), dtype=bool)
-        if sigma.is_identity():
-            cons = cons & (grid != 0).any(axis=1)
-        nfp = int(cons.sum())
-        with_fp += nfp
-        if nfp == 0:
-            continue
-        on = np.zeros(len(grid), dtype=bool)
-        for p1, d1, p2 in tests:
-            mask = ~on & cons
-            if not mask.any():
-                break
-            sub = grid[mask]
-            on[mask] = ((sub @ p2 == 0).all(axis=1)
-                        & ((sub @ p1) % d1 == 0).all(axis=1))
-        bad = cons & ~on
-        if not bad.any():
-            continue
-        for t in _decode(spec, kernel.basis, kernel.den, grid[bad]):
-            g = AffineMap(sigma, t)
-            if confirmed < confirm_cap:
-                verdict = verify_element(spec, g, classify_reflection_power=False)
-                if verdict.outcome != VIOLATION:
-                    raise CrystrefError(
-                        f"fast sweep disagreed with the exact oracle on {g.text()}")
-                confirmed += 1
-                violations.append(verdict)
+        for grid in blocks:
+            examined += len(grid)
+            if consistency is not None:
+                cons = (grid @ consistency == 0).all(axis=1)
             else:
-                violations.append(ElementVerdict(g, VIOLATION))
+                cons = np.ones(len(grid), dtype=bool)
+            if sigma.is_identity():
+                cons = cons & (grid != 0).any(axis=1)
+            nfp = int(cons.sum())
+            with_fp += nfp
+            if nfp == 0:
+                continue
+            on = np.zeros(len(grid), dtype=bool)
+            for p1, d1, p2 in tests:
+                mask = ~on & cons
+                if not mask.any():
+                    break
+                sub = grid[mask]
+                on[mask] = ((sub @ p2 == 0).all(axis=1)
+                            & ((sub @ p1) % d1 == 0).all(axis=1))
+            bad = cons & ~on
+            if not bad.any():
+                continue
+            for t in _decode(spec, kernel.basis, kernel.den, grid[bad]):
+                g = AffineMap(sigma, t)
+                if confirmed < confirm_cap:
+                    verdict = verify_element(spec, g,
+                                             classify_reflection_power=False)
+                    if verdict.outcome != VIOLATION:
+                        raise CrystrefError("fast sweep disagreed with the "
+                                            f"exact oracle on {g.text()}")
+                    confirmed += 1
+                    violations.append(verdict)
+                else:
+                    violations.append(ElementVerdict(g, VIOLATION))
     return SweepReport(
         group=spec.name, bound=bound, budget=budget, grid_total=grid_total,
         examined=examined, with_fixed_point=with_fp,
@@ -721,13 +736,12 @@ def check_counterexample(spec) -> dict:
 # -- the full verdict table ----------------------------------------------------
 
 def full_table_report(bound: int = 1, budget: Optional[int] = 200_000,
-                      jobs: int = 1, confirm_cap: int = 200) -> dict:
+                      confirm_cap: int = 200) -> dict:
     """Recompute the pass/fail column for every catalog row at its smallest
     tabulated dimension: failing rows are certified exactly through their
     counterexamples, passing rows through violation-free sweeps, and every row
     is swept for evidence."""
     start = time.perf_counter()
-    ids = catalog_ids()
 
     def run_row(gid: GroupId) -> dict:
         spec = build_group(gid)
@@ -752,12 +766,7 @@ def full_table_report(bound: int = 1, budget: Optional[int] = 200_000,
         row["match"] = row["computed"] == row["expected"]
         return row
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_row, ids))
-    else:
-        rows = [run_row(gid) for gid in ids]
+    rows = [run_row(gid) for gid in catalog_ids()]
     return {
         "bound": bound,
         "budget": budget,

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random generators for scalars, monomials and maps,
-and dense reference solvers that the cycle-wise fast paths are tested
-against."""
+dense reference solvers that the cycle-wise fast paths are tested against,
+and Fraction references for the integer scalar arithmetic, the integer row
+solver and the integer line intersection."""
 
 import random
 from fractions import Fraction
@@ -10,6 +11,9 @@ import pytest
 from crystref import (EMPTY, AffineMap, AffineSubspace, Monomial, Ring, Scalar,
                       Vector)
 from crystref.affine import _solve_scalar_system
+from crystref.linalg import (frac_right_kernel, frac_rref, int_left_kernel,
+                             int_matrix_and_den)
+from crystref.scalars import _FOLDED, _REDUCTION
 
 
 def random_fraction(rng: random.Random, num: int = 3, dens=(1, 1, 2, 3)) -> Fraction:
@@ -79,6 +83,91 @@ def dense_fixed_space(g: AffineMap) -> AffineSubspace:
     particular, kernel = solved
     return AffineSubspace(Vector(ring, particular),
                           [Vector(ring, vec) for vec in kernel])
+
+
+# -- Fraction references -----------------------------------------------------
+
+def fraction_coords(ring: Ring, a=0, b=0, c=0, d=0) -> tuple[Fraction, ...]:
+    """Reference coordinates (a, b, c, d) of a scalar: Fractions, with xi
+    folded into the rational part for r = 1, 2."""
+    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    if not ring.is_quadratic:
+        fold = _FOLDED[ring.r]
+        a, b, c, d = a + fold * b, Fraction(0), c + fold * d, Fraction(0)
+    return a, b, c, d
+
+
+def fraction_mul(ring: Ring, x, y) -> tuple[Fraction, ...] | None:
+    """Reference product of coordinate tuples; None when both operands carry
+    the formal parameter (the product would carry al^2)."""
+    if (x[2] or x[3]) and (y[2] or y[3]):
+        return None
+    if not ring.is_quadratic:
+        return fraction_coords(ring, x[0] * y[0], 0, x[0] * y[2] + x[2] * y[0])
+    u, v = _REDUCTION[ring.r]
+
+    def times(a1, b1, a2, b2):
+        return a1 * a2 + v * b1 * b2, a1 * b2 + b1 * a2 + u * b1 * b2
+
+    cyclo = times(x[0], x[1], y[0], y[1])
+    formal = tuple(p + q for p, q in zip(times(x[0], x[1], y[2], y[3]),
+                                         times(x[2], x[3], y[0], y[1])))
+    return cyclo + formal
+
+
+def fraction_inverse(ring: Ring, x) -> tuple[Fraction, ...] | None:
+    """Reference inverse of a nonzero cyclotomic coordinate tuple (None for
+    zero or a formal part)."""
+    a, b = x[0], x[1]
+    if x[2] or x[3] or not (a or b):
+        return None
+    if not ring.is_quadratic:
+        return fraction_coords(ring, 1 / a)
+    u, v = _REDUCTION[ring.r]
+    norm = a * a + a * b * u - b * b * v
+    return fraction_coords(ring, (a + b * u) / norm, -b / norm)
+
+
+def fraction_solve(gmat, v) -> list[Fraction] | None:
+    """Reference for linalg.RowSolver: x with x @ G == v by Fraction
+    elimination, or None when v is outside the row span."""
+    k, ncols = len(gmat), len(gmat[0])
+    eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    rref, pivots = frac_rref([list(row) + e for row, e in zip(gmat, eye)])
+    inv = [row[ncols:] for row in rref]
+    vj = [v[c] for c in pivots]
+    x = [sum(vj[a] * inv[a][b] for a in range(k)) for b in range(k)]
+    for col in range(ncols):
+        if sum(x[b] * gmat[b][col] for b in range(k)) != v[col]:
+            return None
+    return x
+
+
+def fraction_line_intersection(lattice, w: Vector) -> list[Scalar]:
+    """Reference generators of {t : t*w in lattice}: the right kernel and the
+    solves in Fractions, the left kernel of the globally scaled Z K."""
+    ring = lattice.ring
+    basis = ring.basis_scalars()
+    fmat = [list(w.scale(b).flat()) for b in basis]
+    zmat = [list(b.flat()) for b in lattice.zbasis]
+    akern = frac_right_kernel(fmat)
+    if akern:
+        bmat = [[sum(zrow[j] * avec[j] for j in range(len(avec)))
+                 for avec in akern] for zrow in zmat]
+        ys = int_left_kernel(int_matrix_and_den(bmat)[0])
+    else:
+        ys = [[int(i == j) for j in range(len(zmat))] for i in range(len(zmat))]
+    gens = []
+    for y in ys:
+        v = [sum(Fraction(y[i]) * zmat[i][j] for i in range(len(zmat)))
+             for j in range(len(zmat[0]))]
+        c = fraction_solve(fmat, v)
+        assert c is not None
+        t = ring.zero()
+        for cs, b in zip(c, basis):
+            t = t + b * cs
+        gens.append(t)
+    return gens
 
 
 @pytest.fixture

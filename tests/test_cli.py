@@ -82,17 +82,6 @@ def test_table_command_sampled(capsys):
     assert by_name["[G(4,2,2)]_3"]["computed"] is True
 
 
-def test_table_parallel_rows_match_sequential(capsys):
-    assert run(["table", "--budget", "2000", "--jobs", "4", "--json"]) == 0
-    parallel = json.loads(capsys.readouterr().out)
-    assert run(["table", "--budget", "2000", "--json"]) == 0
-    sequential = json.loads(capsys.readouterr().out)
-    strip = [(r["group"], r["expected"], r["computed"], r["match"])
-             for r in parallel["rows"]]
-    assert strip == [(r["group"], r["expected"], r["computed"], r["match"])
-                     for r in sequential["rows"]]
-
-
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["definitely-not-a-command"])

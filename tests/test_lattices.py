@@ -11,6 +11,7 @@ from crystref import (CrystrefError, Lattice, Monomial, RankDeficient, Ring,
                       RingMismatch, ScalarModule, Vector, ZeroDirection,
                       build_group, lattice_from_generators)
 from crystref import linalg
+from conftest import fraction_line_intersection, fraction_solve
 
 
 def _zx(ring):
@@ -126,7 +127,8 @@ def test_line_intersection_guard_raises_error(monkeypatch):
     # must raise an error rather than an assert that python -O strips
     spec = build_group("[G(4,1,2)]_2")
     w = Vector.basis(spec.ring, 2, 1)
-    monkeypatch.setattr(linalg.RowSolver, "solve", lambda self, v: None)
+    monkeypatch.setattr(linalg.RowSolver, "solve_rational",
+                        lambda self, nums, den: None)
     with pytest.raises(CrystrefError):
         spec.lattice.line_intersection(w)
 
@@ -159,12 +161,31 @@ def _solver_cases(draw):
 @given(_solver_cases())
 def test_solve_integral_matches_fraction_solve(case):
     gmat, v, x = case
+    assert fraction_solve(gmat, v) == x
     solver = linalg.RowSolver(gmat)
-    exact = solver.solve(v)
-    assert exact == x
+    nums, den = linalg.int_matrix_and_den([v])
+    solved = solver.solve_rational(nums[0], den)
+    got = None if solved is None else [Fraction(n, solved[1]) for n in solved[0]]
+    assert got == x
     want = None if x is None or any(xi.denominator != 1 for xi in x) \
         else [int(xi) for xi in x]
-    assert solver.solve_integral(v) == want
+    assert solver.solve_integral(nums[0], den) == want
+
+
+def test_line_intersection_matches_fraction_reference():
+    # every mirror family's constants module comes from line_intersection:
+    # its generators equal those of the Fraction reference on every row
+    from crystref import catalog_ids, reflection_families
+    checked = 0
+    for gid in catalog_ids():
+        spec = build_group(gid)
+        for fam in reflection_families(spec):
+            w = fam.form.direction(spec.n)
+            assert (spec.lattice.line_intersection(w).gens
+                    == tuple(fraction_line_intersection(spec.lattice, w))), \
+                (spec.name, fam.form.text())
+            checked += 1
+    assert checked > 100
 
 
 def test_module_membership_examples():

@@ -1,13 +1,17 @@
-"""Exact scalar arithmetic: worked examples, ring axioms, inverses, text."""
+"""Exact scalar arithmetic: worked examples, ring axioms, inverses, text, and
+a differential test of the integer representation against Fractions."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystref import (AlphaNotInvertible, AlphaSquared, DivisionByZero, Ring,
                       RingMismatch, parse_scalar)
-from conftest import random_scalar
+from conftest import (fraction_coords, fraction_inverse, fraction_mul,
+                      random_scalar)
 
 
 def test_product_examples():
@@ -131,3 +135,82 @@ def test_inverse_property(rng):
             count += 1
             assert x * x.inverse() == ring.one()
             assert (x ** 3) * (x ** -3) == ring.one()
+
+
+_RINGS = [Ring(r, alpha) for r in (1, 2, 3, 4, 6) for alpha in (False, True)]
+_COEFFS = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-40, max_value=40, max_denominator=24))
+
+
+@st.composite
+def _scalar_pairs(draw):
+    """(ring, x, y, coordinates of x, coordinates of y); the formal
+    coordinates are drawn only for alpha rings, and often left zero."""
+    ring = draw(st.sampled_from(_RINGS))
+
+    def coords():
+        a, b = draw(_COEFFS), draw(_COEFFS)
+        c = d = 0
+        if ring.alpha and draw(st.booleans()):
+            c, d = draw(_COEFFS), draw(_COEFFS)
+        return fraction_coords(ring, a, b, c, d)
+
+    cx, cy = coords(), coords()
+    return ring, ring.scalar(*cx), ring.scalar(*cy), cx, cy
+
+
+def _matches(s, want):
+    """s has the reference value and is in lowest terms over den > 0."""
+    nums, den = s.int_coordinates()
+    assert den > 0 and gcd(*nums, den) == 1
+    assert gcd(s.na, s.nb, s.nc, s.nd, s.den) == 1
+    width = s.ring.flat_width
+    coords = want if s.ring.alpha else want[:2]
+    assert want[width:] == (0,) * (4 - width)
+    assert s.coordinates() == coords
+    assert tuple(Fraction(n, den) for n in nums) == coords
+    assert (s.a, s.b, s.c, s.d) == want
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_scalar_pairs())
+def test_integer_scalar_matches_fraction_reference(case):
+    ring, x, y, cx, cy = case
+    _matches(x, cx)
+    _matches(x + y, tuple(p + q for p, q in zip(cx, cy)))
+    _matches(x - y, tuple(p - q for p, q in zip(cx, cy)))
+    _matches(-x, tuple(-p for p in cx))
+    prod = fraction_mul(ring, cx, cy)
+    if prod is None:
+        with pytest.raises(AlphaSquared):
+            _ = x * y
+    else:
+        _matches(x * y, prod)
+    inv = fraction_inverse(ring, cy)
+    if inv is None:
+        error = AlphaNotInvertible if (cy[2] or cy[3]) else DivisionByZero
+        with pytest.raises(error):
+            y.inverse()
+        with pytest.raises(error):
+            _ = x / y
+    else:
+        _matches(y.inverse(), inv)
+        quot = fraction_mul(ring, cx, inv)
+        if quot is None:
+            with pytest.raises(AlphaSquared):
+                _ = x / y
+        else:
+            _matches(x / y, quot)
+    # equal values built two ways compare and hash equal
+    same = (x + y) - y
+    assert same == x and hash(same) == hash(x)
+    assert (x == y) == (cx == cy)
+    assert parse_scalar(ring, x.text()) == x
+    other = Ring(4 if ring.r != 4 else 3, ring.alpha)
+    with pytest.raises(RingMismatch):
+        _ = x + other.one()
+    with pytest.raises(RingMismatch):
+        _ = x * other.one()
+    if not ring.alpha:
+        with pytest.raises(RingMismatch):
+            ring.scalar(cx[0], cx[1], 1)

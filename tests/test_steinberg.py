@@ -354,6 +354,21 @@ def test_sampling_refuses_grids_past_maxsize():
         next(element_stream(spec, bound=10 ** 8, budget=10))
 
 
+def test_chunked_sweep_matches_single_block(monkeypatch):
+    # a small chunk size splits every linear part's grid (3^4 and 3^6 rows)
+    # into blocks that end mid-grid; the report must not change
+    for name in ("[G(6,3,2)]_2", "[G(2,1,3)]^a_3"):
+        spec = build_group(name)
+        whole = sweep(spec, bound=1).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(steinberg, "_CHUNK", 7)
+            chunked = sweep(spec, bound=1).to_dict()
+        del whole["elapsed_seconds"], chunked["elapsed_seconds"]
+        assert whole["exhaustive"] and whole["with_fixed_point"] > 0
+        assert chunked == whole, name
+    assert whole["violation_count"] > 0
+
+
 def test_table_reports_failed_certification_as_mismatch(monkeypatch, capsys):
     certify = steinberg.check_counterexample
 
