@@ -500,15 +500,27 @@ def is_central_reflection(m: Monomial) -> bool:
 
 
 def has_finite_order(g: AffineMap) -> bool:
-    """Finite order iff the fixed space is nonempty (linear part has finite
-    order automatically for monomial matrices with root-of-unity weights)."""
-    return not fixed_space(g).is_empty
+    """Finite order iff the fixed space is nonempty (the linear part has
+    finite order automatically), decided cycle by cycle without building it:
+    (1 - Lin(g)) v = Tran(g) always solves on a cycle of nontrivial weight
+    product, and on one of weight product one iff its translation, carried
+    once around the cycle from its first node, sums to zero."""
+    ring = g.ring
+    for nodes, exps in g.lin.cycles():
+        if sum(exps) % ring.r:
+            continue
+        s = g.tran[nodes[0]]
+        for e, node in zip(exps, nodes[1:]):
+            s = ring.root(e) * s + g.tran[node]
+        if not s.is_zero():
+            return False
+    return True
 
 
 def is_reflection(g: AffineMap) -> bool:
     """Affine reflection test: a fixed point exists and the linear part is a
     central reflection."""
-    return is_central_reflection(g.lin) and not fixed_space(g).is_empty
+    return is_central_reflection(g.lin) and has_finite_order(g)
 
 
 def subspace_satisfies_form(space: AffineSubspace, form, constant: Scalar) -> bool:

@@ -120,15 +120,14 @@ def linear_group_order(r: int, p: int, n: int) -> int:
     return r ** n * factorial(n) // p
 
 
-def enumerate_linear_group(ring: Ring, r: int, p: int, n: int,
-                           cap: int = ENUMERATION_CAP) -> list[Monomial]:
+def enumerate_linear_group(ring: Ring, r: int, p: int, n: int) -> list[Monomial]:
     """All elements of G(r,p,n): monomial matrices whose weight exponents sum
     to 0 mod p.  Deterministic order (permutation-major)."""
     if r < 1 or p < 1 or n < 1 or r % p != 0:
         raise InvalidParameters(f"G({r},{p},{n}) is not defined")
     count = linear_group_order(r, p, n)
-    if count > cap:
-        raise TooLarge(f"|G({r},{p},{n})| = {count} exceeds cap {cap}")
+    if count > ENUMERATION_CAP:
+        raise TooLarge(f"|G({r},{p},{n})| = {count} exceeds cap {ENUMERATION_CAP}")
     exp_tuples = [e for e in product(range(r), repeat=n) if sum(e) % p == 0]
     out = []
     for perm in permutations(range(n)):
@@ -411,10 +410,10 @@ class GroupSpec:
     def linear_order(self) -> int:
         return linear_group_order(self.id.r, self.id.p, self.n)
 
-    def elements_of_linear_part(self, cap: int = ENUMERATION_CAP) -> list[Monomial]:
+    def elements_of_linear_part(self) -> list[Monomial]:
         if self._elements is None:
             self._elements = enumerate_linear_group(
-                self.ring, self.id.r, self.id.p, self.n, cap)
+                self.ring, self.id.r, self.id.p, self.n)
         return self._elements
 
     def is_member(self, g: AffineMap) -> bool:

@@ -4,9 +4,11 @@ reproducing the pass/fail columns of the classification tables.
 
 The complete oracle for a single element is hyperplane-family membership of
 its fixed space (see hyperplanes.py); the lemma constructions are redundant
-cross-checks.  Sweeps run a vectorised integer fast path whose verdicts agree
-with the exact per-element oracle (tested on full and sampled grids), with
-flagged violations re-verified exactly up to a configurable cap.
+cross-checks.  One walk, _box, enumerates the translation box (all of it, or
+a seeded sample past the budget) for the fast sweep, element_stream and the
+exact sweep_exact.  The sweep runs a vectorised integer fast path whose
+verdicts agree with the exact per-element oracle (tested on full and sampled
+grids), with flagged violations re-verified exactly up to confirm_cap.
 
 The fast path is int64 from end to end.  A sweep scales the lattice Z-basis to
 one integer matrix B over one denominator D.  Per linear part it solves the
@@ -30,13 +32,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .affine import (EMPTY, AffineMap, AffineSubspace, Monomial, Vector,
-                     fixed_space, is_central_reflection, power,
-                     subspace_satisfies_form)
+from .affine import (AffineMap, Monomial, Vector, fixed_space,
+                     has_finite_order, is_central_reflection, power)
 from .catalog import GroupId, GroupSpec, build_group, catalog_ids
 from .errors import ExpectedPositiveGroup, NotAMember, CrystrefError
-from .hyperplanes import (Branch, HyperplaneFamily, LinearForm, Witness,
-                          family_index, off_arrangement_point,
+from .hyperplanes import (Witness, family_index, off_arrangement_point,
                           point_on_arrangement, reflection_families,
                           subspace_on_arrangement, witness_reflection)
 from .lattices import ScalarModule
@@ -104,24 +104,6 @@ def orbit_classes(ring: Ring, module: ScalarModule,
     return [classes[k] for k in sorted(classes, key=lambda k: k)]
 
 
-def has_fixed_point_componentwise(g: AffineMap) -> bool:
-    """Cycle-by-cycle solvability of (1 - Lin(g)) v = Tran(g): blocks with
-    nontrivial weight product always solve; weight-product-one blocks need a
-    vanishing accumulated translation.  Agrees with fixed_space(g) being
-    nonempty, at a fraction of the cost."""
-    ring = g.ring
-    for nodes, exps in g.lin.cycles():
-        if sum(exps) % ring.r:
-            continue
-        s = ring.zero()
-        for i in range(len(nodes) - 1):
-            s = ring.root(exps[i]) * s + g.tran[nodes[i + 1]]
-        wrap = ring.root(exps[-1]) * s + g.tran[nodes[0]]
-        if not wrap.is_zero():
-            return False
-    return True
-
-
 # -- lemma-based witness constructions ---------------------------------------
 
 def _difference_witness(spec: GroupSpec, j0: int, k0: int, m: int,
@@ -149,7 +131,7 @@ def witness_from_cycle(spec: GroupSpec, g: AffineMap) -> Optional[Witness]:
     weight product one (the symmetric-group case): a fixed vector satisfies
     x_b - xi^e x_a = t_b along any cycle edge, and the corresponding weighted
     transposition lies in W whenever the lattice admits its translation."""
-    if not has_fixed_point_componentwise(g):
+    if not has_finite_order(g):
         return None
     for nodes, exps in g.lin.cycles():
         if len(nodes) < 2 or sum(exps) % spec.ring.r != 0:
@@ -176,7 +158,7 @@ def witness_from_conditions(spec: GroupSpec, g: AffineMap) -> Optional[Witness]:
     exps = g.lin.exps
     if not any(e % r for e in exps):
         return None
-    if not has_fixed_point_componentwise(g):
+    if not has_finite_order(g):
         return None
     fams = family_index(spec)
     one = ring.one()
@@ -256,24 +238,19 @@ def _is_reflection_power(g: AffineMap) -> bool:
     sigma = Monomial.identity(g.ring, g.n)
     for k in range(1, g.lin.order() + 1):
         sigma = sigma * g.lin
-        if (is_central_reflection(sigma)
-                and not fixed_space(power(g, k)).is_empty):
+        if is_central_reflection(sigma) and has_finite_order(power(g, k)):
             return True
     return False
 
 
 def verify_element(spec: GroupSpec, g: AffineMap,
-                   classify_reflection_power: bool = True,
-                   space: Optional[AffineSubspace] = None) -> ElementVerdict:
-    """Complete verdict for one group element (not the identity).
-
-    A precomputed fixed space may be passed to avoid re-solving."""
+                   classify_reflection_power: bool = True) -> ElementVerdict:
+    """Complete verdict for one group element (not the identity)."""
     if g.is_identity():
         raise NotAMember("the identity is excluded from verification")
     if not spec.is_member(g):
         raise NotAMember(f"element is not in {spec.name}")
-    if space is None:
-        space = fixed_space(g)
+    space = fixed_space(g)
     if space.is_empty:
         return ElementVerdict(g, NO_FIXED_POINT)
     wit = subspace_on_arrangement(spec, space)
@@ -490,79 +467,70 @@ class SweepReport:
 
 # rows of the coefficient grid one block of a full sweep holds at most
 _CHUNK = 1 << 16
+# the seed of the deterministic sample of a grid past the budget
+_SEED = 12345
 
 
-def _coefficient_grid(m: int, bound: int, idx=None) -> np.ndarray:
-    """Coefficient rows of the [-bound, bound]^m box, all of them or those at
-    the flat indices idx."""
+def _coefficient_grid(m: int, bound: int, idx) -> np.ndarray:
+    """The coefficient rows of the [-bound, bound]^m box at the flat indices
+    idx."""
     side = 2 * bound + 1
-    idx = np.arange(side ** m) if idx is None else np.asarray(idx)
+    idx = np.asarray(idx)
     cols = [(idx // (side ** i)) % side - bound for i in range(m)]
     return np.stack(cols, axis=1).astype(np.int64)
 
 
-def _sample(grid_total: int, budget: Optional[int],
-            seed: int) -> Optional[list[int]]:
-    """The sorted flat indices of a deterministic uniform sample of `budget`
-    grid elements, or None when the budget covers the grid.  Grids past
-    sys.maxsize elements are refused: random.sample cannot index them."""
+def _box(spec: GroupSpec, bound: int, budget: Optional[int]):
+    """The one walk over the (sigma, t) grid, t in the [-bound, bound]
+    coefficient box of the lattice basis: (grid_total, exhaustive, walk),
+    where walk yields (sigma, blocks of coefficient rows) in flat-index
+    order.  Past the budget it walks a deterministic uniform sample of
+    exactly `budget` cells, each linear part's block built when the walk
+    reaches it; otherwise blocks of at most _CHUNK rows, or one block built
+    once when a linear part's grid fits in one.  Grids past sys.maxsize
+    elements are refused: random.sample cannot index them."""
+    if bound < 0:
+        raise CrystrefError(f"the bound must be at least 0, not {bound}")
+    if budget is not None and budget < 1:
+        raise CrystrefError(f"the budget must be at least 1, not {budget}")
+    sigmas = spec.elements_of_linear_part()
+    m = spec.lattice.rank
+    per_sigma = (2 * bound + 1) ** m
+    grid_total = per_sigma * len(sigmas)
     if grid_total > sys.maxsize:
         raise CrystrefError(f"the grid of {grid_total} elements is too large "
                             "to sweep or sample")
-    if budget is None or grid_total <= budget:
-        return None
-    return sorted(random.Random(seed).sample(range(grid_total), budget))
+    if budget is not None and grid_total > budget:
+        by_sigma: dict[int, list[int]] = {}
+        for flat in sorted(random.Random(_SEED).sample(range(grid_total),
+                                                       budget)):
+            by_sigma.setdefault(flat // per_sigma, []).append(flat % per_sigma)
+        return grid_total, False, (
+            (sigmas[si], [_coefficient_grid(m, bound, idx)])
+            for si, idx in by_sigma.items())
+
+    def chunks():
+        for lo in range(0, per_sigma, _CHUNK):
+            yield _coefficient_grid(m, bound, np.arange(
+                lo, min(lo + _CHUNK, per_sigma)))
+
+    single = list(chunks()) if per_sigma <= _CHUNK else None
+    return grid_total, True, ((sigma, single or chunks()) for sigma in sigmas)
 
 
 def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
-          confirm_cap: int = 200, cap: int = 100_000,
-          seed: int = 12345) -> SweepReport:
-    """Iterate over (sigma, t) with t in the [-bound, bound] coefficient box
-    of the lattice basis; record every violation of the Steinberg property.
-
-    When the full grid exceeds the budget, a deterministic uniform sample of
-    exactly `budget` elements is examined instead (exhaustive=False); a full
-    grid is walked in blocks of at most _CHUNK coefficient rows per linear
-    part, in flat-index order.  Flagged violations are re-verified with the
-    exact oracle up to confirm_cap."""
+          confirm_cap: int = 200) -> SweepReport:
+    """Iterate over the (sigma, t) box that _box walks; record every
+    violation of the Steinberg property.  Flagged violations are re-verified
+    with the exact oracle up to confirm_cap."""
     start = time.perf_counter()
-    sigmas = spec.elements_of_linear_part(cap)
-    m = spec.lattice.rank
-    side = 2 * bound + 1
-    per_sigma = side ** m
-    grid_total = per_sigma * len(sigmas)
+    grid_total, exhaustive, walk = _box(spec, bound, budget)
     kernel = _Kernel(spec, bound)
-
-    chosen = _sample(grid_total, budget, seed)
-    sampled: Optional[dict[int, np.ndarray]] = None
-    if chosen is not None:
-        sampled = {}
-        by_sigma: dict[int, list[int]] = {}
-        for flat in chosen:
-            by_sigma.setdefault(flat // per_sigma, []).append(flat % per_sigma)
-        for si, gidxs in by_sigma.items():
-            sampled[si] = _coefficient_grid(m, bound, gidxs)
-
-    # a full grid is walked in blocks of at most _CHUNK rows, so memory stays
-    # bounded whatever the box; a grid that fits one block is built once
-    single = None
-    if sampled is None and per_sigma <= _CHUNK:
-        single = [_coefficient_grid(m, bound)]
     examined = 0
     with_fp = 0
     violations: list[ElementVerdict] = []
     confirmed = 0
-    for si, sigma in enumerate(sigmas):
-        if sampled is not None:
-            if si not in sampled:
-                continue
-            blocks = [sampled[si]]
-        elif single is not None:
-            blocks = single
-        else:
-            blocks = (_coefficient_grid(m, bound, np.arange(
-                lo, min(lo + _CHUNK, per_sigma)))
-                for lo in range(0, per_sigma, _CHUNK))
+    for sigma, blocks in walk:
         consistency, tests = _prepare_sigma(kernel, sigma)
         for grid in blocks:
             examined += len(grid)
@@ -602,83 +570,49 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
     return SweepReport(
         group=spec.name, bound=bound, budget=budget, grid_total=grid_total,
         examined=examined, with_fixed_point=with_fp,
-        exhaustive=sampled is None, violations=violations,
+        exhaustive=exhaustive, violations=violations,
         violation_count=len(violations), confirmed_exactly=confirmed,
         elapsed_seconds=time.perf_counter() - start)
 
 
 def element_stream(spec: GroupSpec, bound: int = 1,
-                   budget: Optional[int] = None, cap: int = 100_000,
-                   seed: int = 12345, lin_filter=None):
+                   budget: Optional[int] = None, lin_filter=None):
     """Yield the exact (sigma, t) elements a sweep with the same parameters
     examines, in the same deterministic order (identity excluded).  A
-    lin_filter predicate skips whole linear-part blocks without materialising
-    their translations."""
-    sigmas = spec.elements_of_linear_part(cap)
-    m = spec.lattice.rank
-    side = 2 * bound + 1
-    per_sigma = side ** m
-    grid_total = per_sigma * len(sigmas)
+    lin_filter predicate skips whole linear parts without decoding their
+    translations."""
+    _, _, walk = _box(spec, bound, budget)
     basis, den = _integer_basis(spec, bound)
-    tcache: dict[int, Vector] = {}
-
-    def decode(si: int, gi: int) -> AffineMap:
-        t = tcache.get(gi)
-        if t is None:
-            t = _decode(spec, basis, den, _coefficient_grid(m, bound, [gi]))[0]
-            tcache[gi] = t
-        return AffineMap(sigmas[si], t)
-
-    chosen = _sample(grid_total, budget, seed)
-    if chosen is not None:
-        for flat in chosen:
-            si = flat // per_sigma
-            if lin_filter is not None and not lin_filter(sigmas[si]):
-                continue
-            g = decode(si, flat % per_sigma)
-            if not g.is_identity():
-                yield g
-        return
-    for si in range(len(sigmas)):
-        if lin_filter is not None and not lin_filter(sigmas[si]):
+    last = translations = None
+    for sigma, blocks in walk:
+        if lin_filter is not None and not lin_filter(sigma):
             continue
-        for gi in range(per_sigma):
-            g = decode(si, gi)
-            if not g.is_identity():
-                yield g
+        for grid in blocks:
+            if grid is not last:     # a block shared by every sigma decodes once
+                last, translations = grid, _decode(spec, basis, den, grid)
+            for t in translations:
+                g = AffineMap(sigma, t)
+                if not g.is_identity():
+                    yield g
 
 
-def sweep_exact(spec: GroupSpec, bound: int = 1,
-                cap: int = 100_000) -> SweepReport:
-    """Reference sweep: the exact per-element oracle over the full grid.
-
-    Slow; used by tests to pin the fast path."""
+def sweep_exact(spec: GroupSpec, bound: int = 1) -> SweepReport:
+    """Reference sweep: the exact per-element oracle over the full box,
+    counted as sweep counts it.  Slow; used by tests to pin the fast path."""
     start = time.perf_counter()
-    sigmas = spec.elements_of_linear_part(cap)
-    m = spec.lattice.rank
-    grid = _coefficient_grid(m, bound)
-    translations = _decode(spec, *_integer_basis(spec, bound), grid)
-    examined = 0
+    grid_total = _box(spec, bound, None)[0]
     with_fp = 0
     violations = []
-    for sigma in sigmas:
-        for t in translations:
-            g = AffineMap(sigma, t)
-            if g.is_identity():
-                continue
-            examined += 1
-            space = fixed_space(g)
-            if space.is_empty:
-                continue
-            with_fp += 1
-            if subspace_on_arrangement(spec, space) is None:
-                violations.append(ElementVerdict(
-                    g, VIOLATION, fixed_point=off_arrangement_point(spec, space)))
+    for g in element_stream(spec, bound):
+        verdict = verify_element(spec, g, classify_reflection_power=False)
+        with_fp += verdict.outcome != NO_FIXED_POINT
+        if verdict.outcome == VIOLATION:
+            violations.append(verdict)
     return SweepReport(
-        group=spec.name, bound=bound, budget=None,
-        grid_total=len(sigmas) * len(grid), examined=examined,
-        with_fixed_point=with_fp, exhaustive=True, violations=violations,
-        violation_count=len(violations), confirmed_exactly=len(violations),
+        group=spec.name, bound=bound, budget=None, grid_total=grid_total,
+        examined=grid_total, with_fixed_point=with_fp, exhaustive=True,
+        violations=violations, violation_count=len(violations),
+        confirmed_exactly=len(violations),
         elapsed_seconds=time.perf_counter() - start)
 
 
@@ -735,8 +669,8 @@ def check_counterexample(spec) -> dict:
 
 # -- the full verdict table ----------------------------------------------------
 
-def full_table_report(bound: int = 1, budget: Optional[int] = 200_000,
-                      confirm_cap: int = 200) -> dict:
+def full_table_report(bound: int = 1,
+                      budget: Optional[int] = 200_000) -> dict:
     """Recompute the pass/fail column for every catalog row at its smallest
     tabulated dimension: failing rows are certified exactly through their
     counterexamples, passing rows through violation-free sweeps, and every row
@@ -745,7 +679,7 @@ def full_table_report(bound: int = 1, budget: Optional[int] = 200_000,
 
     def run_row(gid: GroupId) -> dict:
         spec = build_group(gid)
-        rep = sweep(spec, bound=bound, budget=budget, confirm_cap=confirm_cap)
+        rep = sweep(spec, bound=bound, budget=budget)
         row = {
             "group": spec.name,
             "n": spec.n,

@@ -49,6 +49,16 @@ def test_check_refuses_grid_too_large_to_sample(capsys):
     assert "too large" in capsys.readouterr().err
 
 
+def test_negative_bound_or_budget_below_one_is_a_usage_error(capsys):
+    for argv in (["check", "[G(4,1,2)]_2", "--budget", "-1"],
+                 ["check", "[G(4,1,2)]_2", "--budget", "0"],
+                 ["check", "[G(4,1,2)]_2", "-B", "-2"],
+                 ["table", "-B", "-1"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be at least" in captured.err, argv
+
+
 def test_reflections_command(capsys):
     assert run(["reflections", "[G(6,2,2)]_2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -151,13 +151,13 @@ def test_witness_from_conditions_identity_absent():
 
 
 def test_componentwise_solvability_matches_dense_solver(rng):
-    from crystref.steinberg import has_fixed_point_componentwise
+    from crystref import has_finite_order
     from conftest import dense_fixed_space, random_affine
     for ring in (Ring(3), Ring(4), Ring(6), Ring(2, True)):
         for n in (1, 2, 3):
             for _ in range(60):
                 g = random_affine(rng, ring, n, with_alpha=True)
-                assert has_fixed_point_componentwise(g) == \
+                assert has_finite_order(g) == \
                     (not dense_fixed_space(g).is_empty), g.text()
 
 
@@ -245,10 +245,10 @@ def test_fast_sweep_matches_exact_oracle():
                  "[G(2,1,2)]^a_4", "[G(4,2,2)]_3", "[W(A(2))]^a_1",
                  "[G(6,3,2)]_2"):
         spec = build_group(name)
-        fast = sweep(spec, bound=1, confirm_cap=10 ** 9)
-        slow = sweep_exact(spec, bound=1)
-        assert {v.element for v in fast.violations} == \
-            {v.element for v in slow.violations}, name
+        fast = sweep(spec, bound=1, confirm_cap=10 ** 9).to_dict()
+        slow = sweep_exact(spec, bound=1).to_dict()
+        del fast["elapsed_seconds"], slow["elapsed_seconds"]
+        assert fast == slow, name
     # n = 3 and alpha rows under sampling: the fast verdicts agree with the
     # exact oracle on exactly the elements the sample draws
     for name in ("[G(6,6,3)]_1", "[G(2,1,3)]^a_3"):
@@ -356,16 +356,22 @@ def test_sampling_refuses_grids_past_maxsize():
 
 def test_chunked_sweep_matches_single_block(monkeypatch):
     # a small chunk size splits every linear part's grid (3^4 and 3^6 rows)
-    # into blocks that end mid-grid; the report must not change
+    # into blocks that end mid-grid; the report and the element streams, full
+    # and sampled, must not change
     for name in ("[G(6,3,2)]_2", "[G(2,1,3)]^a_3"):
         spec = build_group(name)
         whole = sweep(spec, bound=1).to_dict()
+        streams = [list(element_stream(spec, bound=1, budget=budget))
+                   for budget in (None, 1500)]
         with monkeypatch.context() as patch:
             patch.setattr(steinberg, "_CHUNK", 7)
             chunked = sweep(spec, bound=1).to_dict()
+            assert [list(element_stream(spec, bound=1, budget=budget))
+                    for budget in (None, 1500)] == streams, name
         del whole["elapsed_seconds"], chunked["elapsed_seconds"]
         assert whole["exhaustive"] and whole["with_fixed_point"] > 0
         assert chunked == whole, name
+        assert len(streams[0]) == whole["examined"] - 1
     assert whole["violation_count"] > 0
 
 
