@@ -6,7 +6,7 @@ the fixed-point (Steinberg) property.
 from .affine import (EMPTY, AffineMap, AffineSubspace, Monomial, Vector,
                      compose, fixed_space, has_finite_order,
                      is_central_reflection, is_reflection, power,
-                     subspace_contains, subspace_satisfies_form)
+                     subspace_satisfies_form)
 from .catalog import (GroupId, GroupSpec, build_group, catalog_ids,
                       enumerate_linear_group, generators_of_linear_part,
                       linear_group_order, parse_group_name)
@@ -41,7 +41,7 @@ __all__ = [
     "linear_group_order", "module_window", "off_arrangement_point",
     "orbit_classes", "orbit_equiv", "parse_group_name", "parse_scalar",
     "point_on_arrangement", "power", "rank1_window", "reflection_families",
-    "subspace_contains", "subspace_on_arrangement", "subspace_satisfies_form",
+    "subspace_on_arrangement", "subspace_satisfies_form",
     "sweep", "sweep_exact", "verify_element", "witness_from_conditions",
     "witness_from_cycle", "witness_reflection",
     "NO_FIXED_POINT", "ON_HYPERPLANE", "REFLECTION_POWER", "VIOLATION",

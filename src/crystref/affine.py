@@ -3,13 +3,11 @@ structural predicates: finite order, reflection tests, exact fixed spaces.
 
 Linear parts are always monomial (permutation + root-of-unity weights stored
 as exponents), so (1 - Lin) v = t splits into independent cycles: fixed spaces
-and the reflection test are solved cycle by cycle.  The dense scalar solver
-is kept only for membership in a subspace.
+and the reflection test are solved cycle by cycle, with no elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -69,27 +67,21 @@ class Vector:
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.coords)
 
-    def flat(self) -> tuple[Fraction, ...]:
-        """Rational coordinates, coordinate-major: n * flat_width entries."""
-        out: list[Fraction] = []
-        for x in self.coords:
-            out.extend(x.coordinates())
-        return tuple(out)
-
     def int_flat(self) -> tuple[tuple[int, ...], int]:
-        """(numerators, den): flat() as integers over the lcm of the
-        coordinates' denominators."""
+        """(numerators, den): the rational coordinates of every entry,
+        coordinate-major (n * flat_width of them), as integers over the lcm
+        of the entries' denominators."""
         parts = [x.int_coordinates() for x in self.coords]
         den = lcm(1, *(e for _, e in parts))
         return tuple(v * (den // e) for nums, e in parts for v in nums), den
 
     @classmethod
-    def from_flat(cls, ring: Ring, n: int, flat: Sequence[Fraction]) -> "Vector":
+    def from_int_flat(cls, ring: Ring, nums: Sequence[int], den: int) -> "Vector":
+        """Inverse of int_flat: entries from numerators over den."""
         w = ring.flat_width
-        if len(flat) != n * w:
-            raise DimensionMismatch("flat coordinate length mismatch")
-        return cls(ring, [ring.from_coordinates(flat[i * w:(i + 1) * w])
-                          for i in range(n)])
+        pad = [0] * (4 - w)
+        return cls(ring, [Scalar._raw(ring, *nums[i:i + w], *pad, den)
+                          for i in range(0, len(nums), w)])
 
     def _check(self, other: "Vector") -> None:
         if not isinstance(other, Vector):
@@ -395,54 +387,6 @@ class AffineSubspace:
 EMPTY = AffineSubspace(None)
 
 
-def _solve_scalar_system(rows: list[list[Scalar]], rhs: list[Scalar],
-                         ring: Ring) -> Optional[tuple[list[Scalar], list[list[Scalar]]]]:
-    """Solve A x = rhs over the scalar field.
-
-    A has cyclotomic entries (pivots stay invertible); rhs may carry the
-    formal parameter.  Returns (particular solution, kernel basis with leading
-    coefficient one) or None when inconsistent.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        prow = next((i for i in range(r, nrows) if not aug[i][col].is_zero()), None)
-        if prow is None:
-            continue
-        aug[r], aug[prow] = aug[prow], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(nrows):
-            if i != r and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [aug[i][j] - f * aug[r][j] for j in range(ncols + 1)]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if not aug[i][ncols].is_zero():
-            return None
-    particular = [ring.zero()] * ncols
-    for i, pc in enumerate(pivots):
-        particular[pc] = aug[i][ncols]
-    kernel: list[list[Scalar]] = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [ring.zero()] * ncols
-        vec[fc] = ring.one()
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][fc]
-        lead = next(x for x in vec if not x.is_zero())
-        if not lead.is_one():
-            inv = lead.inverse()
-            vec = [inv * x for x in vec]
-        kernel.append(vec)
-    return particular, kernel
-
-
 def fixed_space(g: AffineMap) -> AffineSubspace:
     """Solutions of (1 - Lin(g)) v = Tran(g), exactly, cycle by cycle.
 
@@ -531,16 +475,3 @@ def subspace_satisfies_form(space: AffineSubspace, form, constant: Scalar) -> bo
     if form.evaluate(space.base) != constant:
         return False
     return all(form.evaluate(d).is_zero() for d in space.directions)
-
-
-def subspace_contains(space: AffineSubspace, u: Vector) -> bool:
-    """Exact membership of a point in an affine subspace."""
-    if space.is_empty:
-        return False
-    diff = u - space.base
-    if not space.directions:
-        return diff.is_zero()
-    ring = u.ring
-    cols = [list(d.coords) for d in space.directions]
-    rows = [[cols[k][i] for k in range(len(cols))] for i in range(u.n)]
-    return _solve_scalar_system(rows, list(diff.coords), ring) is not None

@@ -65,7 +65,7 @@ def cmd_reflections(args) -> int:
     data = {"group": spec.name,
             "families": [f.to_dict() for f in fams]}
     if spec.n == 1 and not spec.ring.alpha:
-        radius = Fraction(args.window)
+        radius = args.window
         lat, hyp = rank1_window(spec, radius)
         data["window"] = {
             "radius": str(radius),
@@ -163,7 +163,7 @@ def cmd_table(args) -> int:
 
 def cmd_plot(args) -> int:
     spec = _build(args.group)
-    radius = Fraction(args.window)
+    radius = args.window
     try:
         lat, hyp = rank1_window(spec, radius)
     except NotRankOne as exc:
@@ -175,6 +175,19 @@ def cmd_plot(args) -> int:
     print(f"wrote {args.out}: {len(lat)} lattice points, "
           f"{len(hyp)} mirror points")
     return 0
+
+
+def _radius(text: str) -> Fraction:
+    """The --window value: a non-negative rational such as 3 or 5/2."""
+    try:
+        radius = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        radius = None
+    if radius is None or radius < 0:
+        raise argparse.ArgumentTypeError(
+            f"the window radius must be at least 0 (a rational such as 3 or "
+            f"5/2), not {text!r}")
+    return radius
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list the reflecting hyperplane families")
     add_group(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--window", "-R", default="3",
+    p.add_argument("--window", "-R", type=_radius, default="3",
                    help="window radius for rank-1 point sets (default 3)")
     p.set_defaults(func=cmd_reflections)
 
@@ -226,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="write an SVG window of a rank-1 group")
     add_group(p)
-    p.add_argument("--window", "-R", default="3", help="window radius")
+    p.add_argument("--window", "-R", type=_radius, default="3",
+                   help="window radius")
     p.add_argument("--out", default="window.svg", help="output SVG path")
     p.set_defaults(func=cmd_plot)
     return parser

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Sequence
 
 from .affine import (AffineMap, AffineSubspace, Monomial, Vector,
@@ -241,31 +242,38 @@ def subspace_on_arrangement(spec: GroupSpec,
 def off_arrangement_point(spec: GroupSpec, space: AffineSubspace) -> Vector:
     """An explicit point of the subspace lying on no reflecting hyperplane.
 
-    Exists whenever subspace_on_arrangement returns None: for each family the
-    bad parameters form finitely many arithmetic progressions, so small
-    rational multiples of any direction escape them all; every candidate is
-    checked exactly before being returned.
+    Exists whenever subspace_on_arrangement returns None.  The direction
+    v = sum_i N^i d_i takes the least N = 1, 2, ... on which every form that
+    is not constant on the subspace is nonzero (such a form vanishes there
+    for fewer than dim values of N).  Along base + s v the mirrors of a
+    branch then meet s in a coset a + bZ or a single point, so s = 1/P
+    escapes them all once the prime P divides no denominator of a or b; the
+    points for P = 1, 2, 3, 5, 7, ... are checked exactly in turn.
     """
     if space.is_empty:
         raise EmptySubspace("no points in the empty subspace")
     if point_on_arrangement(spec, space.base) is None:
         return space.base
-    candidates = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5),
-                  Fraction(1, 7), Fraction(2, 7), Fraction(1, 11),
-                  Fraction(3, 11), Fraction(1, 13), Fraction(5, 13)]
-    for q in candidates:
-        pt = space.base
-        for d in space.directions:
-            pt = pt + d.scale(spec.ring.rational(q))
-        if point_on_arrangement(spec, pt) is None:
-            return pt
-        q2 = q * q
-        pt = space.base
+    ring = spec.ring
+    forms = [fam.form for fam in reflection_families(spec)
+             if any(not fam.form.evaluate(d).is_zero() for d in space.directions)]
+    for big in count(1):
+        v = Vector.zero(ring, spec.n)
         for i, d in enumerate(space.directions):
-            pt = pt + d.scale(spec.ring.rational(q if i % 2 == 0 else q2))
+            v = v + d.scale(ring.rational(big ** i))
+        if all(not f.evaluate(v).is_zero() for f in forms):
+            break
+    for p in _SHIFT_DENOMINATORS:
+        pt = space.base + v.scale(ring.rational(Fraction(1, p)))
         if point_on_arrangement(spec, pt) is None:
             return pt
     raise CrystrefError("could not exhibit an off-arrangement point")
+
+
+# 1 and the primes below 100, where the search gives up; the failing catalog
+# rows up to three dimensions past the table need P <= 11
+_SHIFT_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                       47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 # -- rank-1 windows ----------------------------------------------------------
@@ -312,14 +320,12 @@ def module_window(module: ScalarModule, radius: Fraction) -> list[Scalar]:
         rows.append([re, b])
     if len(module.gens) == 1:
         rows[0].append(Fraction(0))
-    from .linalg import frac_invert
     if len(module.gens) == 2:
-        inv = frac_invert(rows)
-        # coefficient = point * inv; |point| coordinates bounded by 2R
-        bound = 0
-        for row in inv:
-            s = sum(abs(x) for x in row) * 2 * radius
-            bound = max(bound, s)
+        # coefficient = point * inv, inv = [[d, -b], [-c, a]] / det for
+        # rows [[a, b], [c, d]]; |point| coordinates bounded by 2R
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        bound = max(abs(d) + abs(b), abs(c) + abs(a)) / abs(det) * 2 * radius
         kmax = int(bound) + 1
         rng: list[tuple[int, ...]] = [(i, j) for i in range(-kmax, kmax + 1)
                                       for j in range(-kmax, kmax + 1)]

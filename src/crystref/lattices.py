@@ -1,12 +1,14 @@
 """Z-lattices in C^n given by module generators, with exact membership,
 invariance checks and line intersections; plus rank-<=4 modules of scalars.
 
-A lattice is stored as a Z-basis of vectors; membership reads the flattened
-vector as integer numerators over one denominator (Vector.int_flat) and
-applies the precomputed integer inverse of the basis (linalg.RowSolver): a
-row-span test and a divisibility test, with no rational arithmetic.  Line
-intersections work on the integer Z-basis as well: the left kernel of an
-integer matrix and one integer solve per generator.
+A lattice is stored as a Z-basis of vectors together with its flat
+coordinates as one integer matrix B over one denominator D (int_basis),
+computed once.  Membership reads the flattened vector as integer numerators
+over one denominator (Vector.int_flat) and applies the precomputed integer
+inverse of B / D (linalg.RowSolver): a row-span test and a divisibility test,
+with no rational arithmetic.  Line intersections work on B as well: the left
+kernel of an integer matrix and one integer solve per generator.  Modules of
+scalars are ranked, solved and keyed by the same integer routines.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class ScalarModule:
         for g in gens:
             if g.ring is not ring:
                 raise RingMismatch("module generator from a different ring")
-        rows = [list(g.coordinates()) for g in gens]
-        if gens and linalg.frac_rank(rows) != len(gens):
+        rows = [g.int_coordinates()[0] for g in gens]
+        if len(linalg.int_rref(rows)[1]) != len(gens):
             raise RankDeficient("module generators are not Z-independent")
         self.ring = ring
         self.gens = gens
@@ -66,7 +68,8 @@ class ScalarModule:
     def solver(self) -> linalg.RowSolver:
         """The solver of the generator coordinate matrix, built once."""
         if self._solver is None:
-            self._solver = linalg.RowSolver([list(g.coordinates()) for g in self.gens])
+            self._solver = linalg.RowSolver(*linalg.over_one_denominator(
+                g.int_coordinates() for g in self.gens))
         return self._solver
 
     def scaled(self, s: Scalar) -> "ScalarModule":
@@ -81,12 +84,14 @@ class ScalarModule:
         return self.includes(other) and other.includes(self)
 
     def canonical_key(self):
-        """Hashable canonical form (HNF of the generator coordinate matrix)."""
+        """Hashable canonical form: the least D with D * M integral (the lcm
+        of the generators' denominators, a module invariant) and the Hermite
+        normal form of the integer coordinate matrix of D * M."""
         if self._key is None:
-            rows = [list(g.coordinates()) for g in self.gens]
-            basis, _ = linalg.frac_row_basis_hnf(rows)
-            self._key = (self.ring.r, self.ring.alpha,
-                         tuple(tuple(x for x in row) for row in basis))
+            rows, den = linalg.over_one_denominator(
+                g.int_coordinates() for g in self.gens)
+            self._key = (self.ring.r, self.ring.alpha, den,
+                         tuple(map(tuple, linalg.int_hnf(rows))))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -105,15 +110,18 @@ class ScalarModule:
 
 
 class Lattice:
-    """Z-lattice given by a Z-basis of vectors in C^n."""
+    """Z-lattice given by a Z-basis of vectors in C^n; int_basis is (B, D),
+    the flat basis vectors as the integer rows of B over one denominator D."""
 
-    __slots__ = ("ring", "n", "zbasis", "generators", "_solver")
+    __slots__ = ("ring", "n", "zbasis", "int_basis", "generators", "_solver")
 
     def __init__(self, ring: Ring, n: int, zbasis: Sequence[Vector],
                  generators: Sequence[tuple[Vector, tuple[Scalar, ...], str]] = ()):
         self.ring = ring
         self.n = n
         self.zbasis = tuple(zbasis)
+        self.int_basis = linalg.over_one_denominator(
+            b.int_flat() for b in self.zbasis)
         self.generators = tuple(generators)
         self._solver = None
 
@@ -123,7 +131,7 @@ class Lattice:
 
     def _get_solver(self) -> linalg.RowSolver:
         if self._solver is None:
-            self._solver = linalg.RowSolver([list(b.flat()) for b in self.zbasis])
+            self._solver = linalg.RowSolver(*self.int_basis)
         return self._solver
 
     def contains(self, v: Vector) -> bool:
@@ -161,19 +169,17 @@ class Lattice:
             raise RingMismatch("line direction must be free of the parameter")
         ring = self.ring
         basis = ring.basis_scalars()
-        fmat = [list(w.scale(b).flat()) for b in basis]
-        zmat, zden = linalg.int_matrix_and_den([b.flat() for b in self.zbasis])
-        # the right kernel of F cuts out the complement of span(F); scaling Z
-        # and each kernel vector by positive integers scales the columns of
+        solver = linalg.RowSolver(*linalg.over_one_denominator(
+            w.scale(b).int_flat() for b in basis))
+        zmat, zden = self.int_basis
+        # the columns of -C span the right kernel K of F (positive multiples
+        # of its RREF basis), which cuts out the complement of span(F);
+        # scaling Z and K's columns by positive integers scales the columns of
         # Z K by positive factors, which leaves its left kernel unchanged
-        akern = [linalg.int_matrix_and_den([vec])[0][0]
-                 for vec in linalg.frac_right_kernel(fmat)]
-        if akern:
-            ys = linalg.int_left_kernel(
-                [[sum(map(mul, zrow, avec)) for avec in akern] for zrow in zmat])
-        else:
-            ys = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
-        solver = linalg.RowSolver(fmat)
+        # (with no kernel, the left kernel of the empty Z K is the identity)
+        akern = [[-x for x in col] for col in zip(*solver.cmat)]
+        ys = linalg.int_left_kernel(
+            [[sum(map(mul, zrow, avec)) for avec in akern] for zrow in zmat])
         # the basis scalars are coordinate unit vectors: x @ units places the
         # solution's coefficients on the scalar's coordinates
         units = [b.int_coordinates()[0] for b in basis]
@@ -225,15 +231,15 @@ def lattice_from_generators(ring: Ring, n: int,
         stored.append((vec, coeff_gens, name))
         for s in coeff_gens:
             flats.append(vec.scale(s))
-    rows = [list(v.flat()) for v in flats]
-    got = linalg.frac_rank(rows)
+    rows, den = linalg.over_one_denominator(v.int_flat() for v in flats)
+    got = len(linalg.int_rref(rows)[1])
     if got != expected:
         raise RankDeficient(f"expected rank {expected}, generators span {got}")
     if got == len(flats):
         zbasis = flats
     else:
-        basis_rows, _ = linalg.frac_row_basis_hnf(rows)
-        zbasis = [Vector.from_flat(ring, n, row) for row in basis_rows]
+        zbasis = [Vector.from_int_flat(ring, row, den)
+                  for row in linalg.int_hnf(rows)]
     return Lattice(ring, n, zbasis, stored)
 
 

@@ -1,6 +1,7 @@
-"""Exact linear algebra helpers: rational row reduction, integer Hermite-style
-row reduction with unimodular tracking, and a repeated-solve helper whose
-solves use precomputed integer matrices only.
+"""Exact linear algebra on integer matrices: fraction-free Gauss-Jordan
+elimination, Hermite-style row reduction with unimodular tracking, and a
+repeated-solve helper whose solves use precomputed integer matrices only.
+Rational matrices enter as integer numerators over one denominator.
 
 Everything here is dense and desk-scale (dimensions at most ~20); clarity and
 exactness over asymptotics.
@@ -8,69 +9,48 @@ exactness over asymptotics.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
-
-FracRow = list[Fraction]
+from typing import Iterable, Optional, Sequence
 
 
-# -- rational matrices ----------------------------------------------------
+def over_one_denominator(
+        parts: Iterable[tuple[Sequence[int], int]]) -> tuple[list[list[int]], int]:
+    """(rows, den): rows given as (numerators, denominator) pairs, rescaled
+    to integers over the lcm of their denominators."""
+    parts = list(parts)
+    den = lcm(1, *(d for _, d in parts))
+    return [[x * (den // d) for x in nums] for nums, d in parts], den
 
-def frac_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[FracRow], list[int]]:
-    """Reduced row echelon form; returns (new rows, pivot column indices)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+
+def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: (rows, pivot columns) of the
+    reduced row echelon form, each nonzero row returned as the RREF row times
+    its positive pivot, in lowest terms (E. H. Bareiss, Math. Comp. 22,
+    1968, with the row content divided out instead of the previous pivot)."""
+    mat = [list(row) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        prow = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
+        prow = next((i for i in range(r, nrows) if mat[i][col]), None)
         if prow is None:
             continue
         mat[r], mat[prow] = mat[prow], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
+        # the pivot row, primitive with a positive pivot
+        g = gcd(*mat[r]) if mat[r][col] > 0 else -gcd(*mat[r])
+        prow = mat[r] = [x // g for x in mat[r]]
+        p = prow[col]
         for i in range(nrows):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [mat[i][j] - f * mat[r][j] for j in range(ncols)]
+            f = mat[i][col]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(mat[i], prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
-    return mat, pivots
-
-
-def frac_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(frac_rref(rows)[1])
-
-
-def frac_right_kernel(rows: Sequence[Sequence[Fraction]]) -> list[FracRow]:
-    """Basis of {x : A x = 0}, one vector per free column, deterministic."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rref[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def frac_invert(rows: Sequence[Sequence[Fraction]]) -> list[FracRow]:
-    """Inverse of a square rational matrix (raises on singular input)."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    rref, pivots = frac_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in rref[:n]]
+    return mat[:r], pivots
 
 
 class RowSolver:
@@ -80,34 +60,39 @@ class RowSolver:
     the inverse of G on its pivot columns placed on those rows (so v @ L / dL
     is the only candidate x), and C, the integer row-span condition: v lies
     in the row span of G iff v @ C == 0 (C is L G - I scaled to integers,
-    keeping only the columns off the pivots, since the others vanish).
-    Solves take v as integer numerators over one denominator
-    (Scalar.int_coordinates, Vector.int_flat) and need no rational
-    arithmetic (H. Cohen, A Course in Computational Algebraic Number Theory,
-    GTM 138, section 2.4).
+    keeping only the columns off the pivots, since the others vanish).  The
+    columns of -C are the right kernel basis of G that its RREF gives, scaled
+    to integers.  G and the solves' v come as integer numerators over one
+    denominator (Scalar.int_coordinates, Vector.int_flat, Lattice.int_basis),
+    and the solves need no rational arithmetic (H. Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, section 2.4).  L, dL and
+    C are in lowest terms, so they do not depend on how G was scaled.
     """
 
     __slots__ = ("lmat", "dl", "cmat", "_lcols", "_ccols")
 
-    def __init__(self, gmat: Sequence[Sequence[Fraction]]):
-        gmat = [[Fraction(x) for x in row] for row in gmat]
+    def __init__(self, gmat: Sequence[Sequence[int]], den: int):
         k = len(gmat)
         ncols = len(gmat[0]) if k else 0
-        # one reduction of [G | I] gives R = G_P^-1 G on the left and G_P^-1
-        # on the right; a pivot on the right means dependent rows
-        eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-        rref, pivots = frac_rref([row + e for row, e in zip(gmat, eye)])
+        # one reduction of [G | I] gives p R with R = G_P^-1 G on the left and
+        # G_P^-1 / den on the right; a pivot on the right means dependent rows
+        rref, pivots = int_rref([list(row) + [int(i == j) for j in range(k)]
+                                 for i, row in enumerate(gmat)])
         if any(c >= ncols for c in pivots):
             raise ValueError("rows are not independent")
         free = [c for c in range(ncols) if c not in pivots]
-        lrows = [[Fraction(0)] * k for _ in range(ncols)]
+        piv = [row[c] for row, c in zip(rref, pivots)]
+        lnums = [[den * x for x in row[ncols:]] for row in rref]
+        cnums = [[row[j] for j in free] for row in rref]
+        # the least common denominators of the entries row / p over all rows
+        self.dl = lcm(1, *(p // gcd(p, *row) for p, row in zip(piv, lnums)))
+        dc = lcm(1, *(p // gcd(p, *row) for p, row in zip(piv, cnums)))
+        self.lmat = [[0] * k for _ in range(ncols)]
         # C = L G - I on the free columns: the rows of R at the pivots, -I off
-        crows = [[Fraction(-int(i == j)) for j in free] for i in range(ncols)]
-        for a, c in enumerate(pivots):
-            lrows[c] = rref[a][ncols:]
-            crows[c] = [rref[a][j] for j in free]
-        self.lmat, self.dl = int_matrix_and_den(lrows)
-        self.cmat = int_matrix_and_den(crows)[0]
+        self.cmat = [[-dc * int(i == j) for j in free] for i in range(ncols)]
+        for c, p, lrow, crow in zip(pivots, piv, lnums, cnums):
+            self.lmat[c] = [x * self.dl // p for x in lrow]
+            self.cmat[c] = [x * dc // p for x in crow]
         self._lcols = [tuple(col) for col in zip(*self.lmat)]
         self._ccols = [tuple(col) for col in zip(*self.cmat)]
 
@@ -138,14 +123,6 @@ class RowSolver:
 
 
 # -- integer matrices ------------------------------------------------------
-
-def int_matrix_and_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """(numerator matrix, denominator) with rows = num / den exactly; den is
-    the lcm of the entries' denominators."""
-    den = lcm(1, *(x.denominator for row in rows for x in row))
-    out = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    return out, den
-
 
 def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Echelon Z-basis of the integer row span (unimodular row operations)."""
@@ -228,16 +205,3 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     if g < 0:
         x, y = -x, -y
     return x, y
-
-
-def frac_row_basis_hnf(rows: Sequence[Sequence[Fraction]]) -> tuple[list[FracRow], int]:
-    """Z-basis (canonical, HNF-derived) of the Z-row-span of rational rows.
-
-    Returns (basis rows as Fractions, rank).
-    """
-    if not rows:
-        return [], 0
-    scaled, den = int_matrix_and_den(rows)
-    hnf = int_hnf(scaled)
-    basis = [[Fraction(x, den) for x in row] for row in hnf]
-    return basis, len(hnf)

@@ -10,15 +10,15 @@ exact sweep_exact.  The sweep runs a vectorised integer fast path whose
 verdicts agree with the exact per-element oracle (tested on full and sampled
 grids), with flagged violations re-verified exactly up to confirm_cap.
 
-The fast path is int64 from end to end.  A sweep scales the lattice Z-basis to
-one integer matrix B over one denominator D.  Per linear part it solves the
-cycles for all basis vectors at once: multiplication by xi^e is a power of
-the integer companion matrix of the ring, and division by 1 - xi^k is an
-integer adjugate over the lcm N of the norms, so every value is an integer
-over D * N.  Translations are decoded as coeffs @ B over D, straight into
-integer scalars.  Every product with a coefficient grid is guarded:
-bound * (largest column abs-sum) must stay below 2**62, or the sweep raises
-CrystrefError.
+The fast path is int64 from end to end.  A sweep reads the lattice Z-basis
+as one integer matrix B over one denominator D (Lattice.int_basis).  Per
+linear part it solves the cycles for all basis vectors at once:
+multiplication by xi^e is a power of the integer companion matrix of the
+ring, and division by 1 - xi^k is an integer adjugate over the lcm N of the
+norms, so every value is an integer over D * N.  Translations are decoded
+as coeffs @ B over D, straight into integer scalars.  Every product with a
+coefficient grid is guarded: bound * (largest column abs-sum) must stay below
+2**62, or the sweep raises CrystrefError.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .hyperplanes import (Witness, family_index, off_arrangement_point,
                           point_on_arrangement, reflection_families,
                           subspace_on_arrangement, witness_reflection)
 from .lattices import ScalarModule
-from .linalg import int_matrix_and_den
 from .scalars import _FOLDED, _REDUCTION, Ring, Scalar
 
 NO_FIXED_POINT = "no_fixed_point"
@@ -282,10 +281,9 @@ def _guard(bound: int, *mats: np.ndarray) -> None:
 
 
 def _integer_basis(spec: GroupSpec, bound: int) -> tuple[np.ndarray, int]:
-    """The lattice Z-basis as one int64 matrix B over one denominator D (the
-    flat basis vectors are the rows of B / D), guarded for coefficient rows
-    with entries in [-bound, bound]."""
-    rows, den = int_matrix_and_den([b.flat() for b in spec.lattice.zbasis])
+    """The lattice's integer Z-basis B over D (Lattice.int_basis) as an int64
+    matrix, guarded for coefficient rows with entries in [-bound, bound]."""
+    rows, den = spec.lattice.int_basis
     basis = np.array(rows, dtype=object)
     _guard(bound, basis)
     return basis.astype(np.int64), den
@@ -295,14 +293,8 @@ def _decode(spec: GroupSpec, basis: np.ndarray, den: int,
             coeffs: np.ndarray) -> list[Vector]:
     """The translations sum_i c_i b_i for the coefficient rows c, exactly: one
     integer product with the basis numerators, each entry over D."""
-    ring = spec.ring
-    width = ring.flat_width
-    pad = [0] * (4 - width)
-    out = []
-    for row in (coeffs @ basis).tolist():
-        out.append(Vector(ring, [Scalar._raw(ring, *row[i:i + width], *pad, den)
-                                 for i in range(0, len(row), width)]))
-    return out
+    return [Vector.from_int_flat(spec.ring, row, den)
+            for row in (coeffs @ basis).tolist()]
 
 
 def _ring_matrices(ring: Ring) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,18 +1,18 @@
 """Shared helpers: seeded random generators for scalars, monomials and maps,
-dense reference solvers that the cycle-wise fast paths are tested against,
-and Fraction references for the integer scalar arithmetic, the integer row
-solver and the integer line intersection."""
+the dense Scalar solver that the cycle-wise fast paths are tested against,
+and Fraction references (a Fraction RREF among them) for the integer scalar
+arithmetic, the integer elimination, the integer row solver and the integer
+line intersection."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from crystref import (EMPTY, AffineMap, AffineSubspace, Monomial, Ring, Scalar,
                       Vector)
-from crystref.affine import _solve_scalar_system
-from crystref.linalg import (frac_right_kernel, frac_rref, int_left_kernel,
-                             int_matrix_and_den)
+from crystref.linalg import int_left_kernel
 from crystref.scalars import _FOLDED, _REDUCTION
 
 
@@ -52,6 +52,67 @@ def random_affine(rng: random.Random, ring: Ring, n: int,
                      random_vector(rng, ring, n, with_alpha))
 
 
+def solve_scalar_system(rows, rhs, ring: Ring):
+    """Dense reference: solve A x = rhs over the scalar field by Gauss-Jordan
+    elimination on Scalars.
+
+    A has cyclotomic entries (pivots stay invertible); rhs may carry the
+    formal parameter.  Returns (particular solution, kernel basis with leading
+    coefficient one) or None when inconsistent.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    aug = [list(rows[i]) + [rhs[i]] for i in range(nrows)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        prow = next((i for i in range(r, nrows) if not aug[i][col].is_zero()), None)
+        if prow is None:
+            continue
+        aug[r], aug[prow] = aug[prow], aug[r]
+        inv = aug[r][col].inverse()
+        aug[r] = [inv * x for x in aug[r]]
+        for i in range(nrows):
+            if i != r and not aug[i][col].is_zero():
+                f = aug[i][col]
+                aug[i] = [aug[i][j] - f * aug[r][j] for j in range(ncols + 1)]
+        pivots.append(col)
+        r += 1
+    for i in range(r, nrows):
+        if not aug[i][ncols].is_zero():
+            return None
+    particular = [ring.zero()] * ncols
+    for i, pc in enumerate(pivots):
+        particular[pc] = aug[i][ncols]
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [ring.zero()] * ncols
+        vec[fc] = ring.one()
+        for i, pc in enumerate(pivots):
+            vec[pc] = -aug[i][fc]
+        lead = next(x for x in vec if not x.is_zero())
+        if not lead.is_one():
+            inv = lead.inverse()
+            vec = [inv * x for x in vec]
+        kernel.append(vec)
+    return particular, kernel
+
+
+def subspace_contains(space: AffineSubspace, u: Vector) -> bool:
+    """Reference membership of a point in an affine subspace, by the dense
+    solver."""
+    if space.is_empty:
+        return False
+    diff = u - space.base
+    if not space.directions:
+        return diff.is_zero()
+    cols = [list(d.coords) for d in space.directions]
+    rows = [[cols[k][i] for k in range(len(cols))] for i in range(u.n)]
+    return solve_scalar_system(rows, list(diff.coords), u.ring) is not None
+
+
 def dense_one_minus(m: Monomial) -> list[list[Scalar]]:
     """The dense matrix 1 - m over the scalars."""
     ring = m.ring
@@ -66,8 +127,8 @@ def dense_one_minus(m: Monomial) -> list[list[Scalar]]:
 def dense_rank(m: Monomial) -> int:
     """rank(1 - m) by dense Gaussian elimination."""
     ring = m.ring
-    solved = _solve_scalar_system(dense_one_minus(m), [ring.zero()] * m.n,
-                                  ring)
+    solved = solve_scalar_system(dense_one_minus(m), [ring.zero()] * m.n,
+                                 ring)
     return m.n - len(solved[1])
 
 
@@ -76,8 +137,8 @@ def dense_fixed_space(g: AffineMap) -> AffineSubspace:
     system (1 - Lin(g)) v = Tran(g), free variables set to zero and each
     kernel vector scaled to lead with one."""
     ring = g.ring
-    solved = _solve_scalar_system(dense_one_minus(g.lin), list(g.tran.coords),
-                                  ring)
+    solved = solve_scalar_system(dense_one_minus(g.lin), list(g.tran.coords),
+                                 ring)
     if solved is None:
         return EMPTY
     particular, kernel = solved
@@ -128,6 +189,57 @@ def fraction_inverse(ring: Ring, x) -> tuple[Fraction, ...] | None:
     return fraction_coords(ring, (a + b * u) / norm, -b / norm)
 
 
+def frac_rref(rows):
+    """Reference reduced row echelon form over Fractions: (rows, pivot
+    columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        prow = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
+        if prow is None:
+            continue
+        mat[r], mat[prow] = mat[prow], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [mat[i][j] - f * mat[r][j] for j in range(ncols)]
+        pivots.append(col)
+        r += 1
+    return mat, pivots
+
+
+def frac_right_kernel(rows) -> list[list[Fraction]]:
+    """Reference basis of {x : A x = 0} from the Fraction RREF, one vector
+    per free column."""
+    ncols = len(rows[0])
+    rref, pivots = frac_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rref[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def int_matrix_and_den(rows) -> tuple[list[list[int]], int]:
+    """(numerators, den) with rows = numerators / den exactly, den the lcm of
+    the entries' denominators."""
+    den = lcm(1, *(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
+
+
+def flat(v: Vector) -> list[Fraction]:
+    """Rational coordinates of a vector, coordinate-major."""
+    return [c for x in v.coords for c in x.coordinates()]
+
+
 def fraction_solve(gmat, v) -> list[Fraction] | None:
     """Reference for linalg.RowSolver: x with x @ G == v by Fraction
     elimination, or None when v is outside the row span."""
@@ -148,8 +260,8 @@ def fraction_line_intersection(lattice, w: Vector) -> list[Scalar]:
     solves in Fractions, the left kernel of the globally scaled Z K."""
     ring = lattice.ring
     basis = ring.basis_scalars()
-    fmat = [list(w.scale(b).flat()) for b in basis]
-    zmat = [list(b.flat()) for b in lattice.zbasis]
+    fmat = [flat(w.scale(b)) for b in basis]
+    zmat = [flat(b) for b in lattice.zbasis]
     akern = frac_right_kernel(fmat)
     if akern:
         bmat = [[sum(zrow[j] * avec[j] for j in range(len(avec)))

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from crystref import (AffineMap, DimensionMismatch, EMPTY, Monomial, Ring,
                       Vector, compose, fixed_space, has_finite_order,
                       is_central_reflection, is_reflection, power,
-                      subspace_contains, subspace_satisfies_form)
+                      subspace_satisfies_form)
 from crystref.hyperplanes import LinearForm
 from conftest import (dense_fixed_space, dense_rank, random_affine,
-                      random_monomial, random_vector)
+                      random_monomial, random_vector, subspace_contains)
 
 
 def _diag(ring, exps):

@@ -50,11 +50,20 @@ def test_check_refuses_grid_too_large_to_sample(capsys):
 
 
 def test_negative_bound_or_budget_below_one_is_a_usage_error(capsys):
+    # so is a window radius that is not a non-negative rational
     for argv in (["check", "[G(4,1,2)]_2", "--budget", "-1"],
                  ["check", "[G(4,1,2)]_2", "--budget", "0"],
                  ["check", "[G(4,1,2)]_2", "-B", "-2"],
-                 ["table", "-B", "-1"]):
-        assert run(argv) == 2, argv
+                 ["table", "-B", "-1"],
+                 ["reflections", "[G(4,1,1)]_1", "-R", "abc"],
+                 ["reflections", "[G(4,1,1)]_1", "-R", "1/0"],
+                 ["reflections", "[G(4,1,1)]_1", "--window=-1/2"],
+                 ["plot", "[G(4,1,1)]_1", "-R", "abc"]):
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse rejects a malformed option
+            code = exc.code
+        assert code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "must be at least" in captured.err, argv
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,7 +12,9 @@ from crystref import (CrystrefError, Lattice, Monomial, RankDeficient, Ring,
                       RingMismatch, ScalarModule, Vector, ZeroDirection,
                       build_group, lattice_from_generators)
 from crystref import linalg
-from conftest import fraction_line_intersection, fraction_solve
+from conftest import (frac_right_kernel, frac_rref,
+                      fraction_line_intersection, fraction_solve,
+                      int_matrix_and_den)
 
 
 def _zx(ring):
@@ -145,13 +148,13 @@ def _solver_cases(draw):
     k = draw(st.integers(1, ncols))
     gmat = draw(st.lists(st.lists(_FRACTIONS, min_size=ncols, max_size=ncols),
                          min_size=k, max_size=k))
-    assume(linalg.frac_rank(gmat) == k)
+    assume(len(frac_rref(gmat)[1]) == k)
     coeff = st.integers(-4, 4).map(Fraction) if draw(st.booleans()) \
         else _FRACTIONS
     x = draw(st.lists(coeff, min_size=k, max_size=k))
     v = [sum(x[i] * gmat[i][j] for i in range(k)) for j in range(ncols)]
     if k < ncols and draw(st.booleans()):
-        w = linalg.frac_right_kernel(gmat)[0]
+        w = frac_right_kernel(gmat)[0]
         c = draw(_FRACTIONS.filter(bool))
         return gmat, [a + c * b for a, b in zip(v, w)], None
     return gmat, v, x
@@ -162,14 +165,34 @@ def _solver_cases(draw):
 def test_solve_integral_matches_fraction_solve(case):
     gmat, v, x = case
     assert fraction_solve(gmat, v) == x
-    solver = linalg.RowSolver(gmat)
-    nums, den = linalg.int_matrix_and_den([v])
+    rows, gden = int_matrix_and_den(gmat)
+    solver = linalg.RowSolver(rows, gden)
+    # L / dL and C come in lowest terms, whatever the scaling of G
+    assert gcd(solver.dl, *itertools.chain(*solver.lmat)) == 1
+    assert gcd(*itertools.chain(*solver.cmat)) in (0, 1)
+    scaled = linalg.RowSolver([[3 * a for a in row] for row in rows], 3 * gden)
+    assert (scaled.lmat, scaled.dl, scaled.cmat) == \
+        (solver.lmat, solver.dl, solver.cmat)
+    nums, den = int_matrix_and_den([v])
     solved = solver.solve_rational(nums[0], den)
     got = None if solved is None else [Fraction(n, solved[1]) for n in solved[0]]
     assert got == x
     want = None if x is None or any(xi.denominator != 1 for xi in x) \
         else [int(xi) for xi in x]
     assert solver.solve_integral(nums[0], den) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5)))
+def test_int_rref_is_the_fraction_rref_times_its_pivots(rows):
+    got, pivots = linalg.int_rref(rows)
+    want, want_pivots = frac_rref(rows)
+    assert pivots == want_pivots and len(got) == len(pivots)
+    for row, ref, c in zip(got, want, pivots):
+        assert row[c] > 0 and gcd(*row) == 1
+        assert [Fraction(x, row[c]) for x in row] == ref
 
 
 def test_line_intersection_matches_fraction_reference():

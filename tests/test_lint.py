@@ -1,5 +1,6 @@
 """Source lint: guard checks in the library raise errors and are never
-assert statements, which python -O strips."""
+assert statements, which python -O strips; the exact core does its linear
+algebra on integers and never imports fractions."""
 
 import ast
 from pathlib import Path
@@ -31,4 +32,32 @@ def test_library_has_no_assertions():
     found = [f"{path.relative_to(SRC)}:{line}: {kind}"
              for path in sorted(SRC.rglob("*.py"))
              for line, kind in _assertion_sites(ast.parse(path.read_text()))]
+    assert not found, found
+
+
+# Fraction stays where parsing and display need it: scalars, catalog, the
+# hyperplane windows, cli and svgplot
+INTEGER_ONLY = ("linalg.py", "lattices.py", "affine.py", "steinberg.py")
+
+
+def _fractions_imports(tree: ast.AST):
+    """Lines of every import of the fractions module in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "fractions" for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module is not None \
+                and node.module.split(".")[0] == "fractions":
+            yield node.lineno
+
+
+def test_lint_finds_fractions_imports():
+    tree = ast.parse("import fractions\nfrom fractions import Fraction\n"
+                     "import math\ndef f():\n    import fractions as fr\n")
+    assert list(_fractions_imports(tree)) == [1, 2, 5]
+
+
+def test_exact_core_does_not_import_fractions():
+    found = [f"{name}:{line}" for name in INTEGER_ONLY
+             for line in _fractions_imports(ast.parse((SRC / name).read_text()))]
     assert not found, found

@@ -16,6 +16,7 @@ from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
                       sweep_exact, verify_element, witness_from_conditions,
                       witness_from_cycle)
 from crystref import steinberg
+from crystref.catalog import _ROWS, GroupId
 from crystref.cli import run
 from crystref.steinberg import (_decode, _guard, _integer_basis,
                                 _ring_matrices, element_stream,
@@ -410,6 +411,27 @@ def test_check_counterexample_all_failing_rows():
             assert rep["passed"], rep
             if spec.id.p == spec.id.r and spec.n == 3 and not spec.id.uses_alpha:
                 assert rep["orbit_inequivalent_pairs"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def _failing_rows_past_the_table():
+    """Every failing row at each n from the least n where it fails (nmin,
+    or nmin + 1 for [G(2,2,n)]^a_1) through three more."""
+    ids = []
+    for row in _ROWS:
+        failing = [n for n in range(row.nmin, row.nmin + 8)
+                   if (row.nmax is None or n <= row.nmax)
+                   and not row.steinberg(n)]
+        ids += [GroupId(row.family, row.r, row.p, n, row.k, row.alpha)
+                for n in failing if n <= failing[0] + 3]
+    return ids
+
+
+@pytest.mark.parametrize("gid", _failing_rows_past_the_table(), ids=str)
+def test_check_counterexample_past_the_table(gid):
+    # fixed spaces of dimension 3 or more: a difference form constant on the
+    # candidate line must not block the off-arrangement point
+    rep = check_counterexample(gid)
+    assert rep["passed"] and rep["off_arrangement"]
 
 
 def test_counterexample_fixed_line_case():
