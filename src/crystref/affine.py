@@ -117,7 +117,7 @@ class Monomial:
     inverses never leave the group and orders read off the cycle structure.
     """
 
-    __slots__ = ("ring", "perm", "exps", "_hash")
+    __slots__ = ("ring", "perm", "exps", "_hash", "_cycles")
 
     def __init__(self, ring: Ring, perm: Sequence[int], exps: Sequence[int]):
         perm = tuple(perm)
@@ -130,6 +130,14 @@ class Monomial:
         self.perm = perm
         self.exps = tuple(e % ring.r for e in exps)
         self._hash = None
+        self._cycles = None
+
+    @classmethod
+    def _raw(cls, ring: Ring, perm: tuple, exps: tuple) -> "Monomial":
+        """Fast path for products: a permutation tuple, exps reduced mod r."""
+        m = object.__new__(cls)
+        m.ring, m.perm, m.exps, m._hash, m._cycles = ring, perm, exps, None, None
+        return m
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Monomial":
@@ -169,11 +177,12 @@ class Monomial:
             return NotImplemented
         if other.ring is not self.ring:
             raise RingMismatch("monomials from different rings")
-        if other.n != self.n:
+        if len(other.perm) != len(self.perm):
             raise DimensionMismatch(f"{self.n} vs {other.n}")
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        exps = tuple(other.exps[j] + self.exps[other.perm[j]] for j in range(self.n))
-        return Monomial(self.ring, perm, exps)
+        perm, exps, r = self.perm, self.exps, self.ring.r
+        return Monomial._raw(self.ring, tuple([perm[k] for k in other.perm]),
+                             tuple([(e + exps[k]) % r
+                                    for e, k in zip(other.exps, other.perm)]))
 
     def inverse(self) -> "Monomial":
         n = self.n
@@ -204,24 +213,25 @@ class Monomial:
             coords[self.perm[j]] = self.ring.root(self.exps[j]) * v[j]
         return Vector(self.ring, coords)
 
-    def cycles(self) -> list[tuple[list[int], list[int]]]:
+    def cycles(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Cycle decomposition: (nodes, edge exponents); nodes 0-indexed, the
-        exponent at position i weights the edge nodes[i] -> nodes[i+1]."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            nodes = []
-            exps = []
-            cur = start
-            while not seen[cur]:
-                seen[cur] = True
-                nodes.append(cur)
-                exps.append(self.exps[cur])
-                cur = self.perm[cur]
-            out.append((nodes, exps))
-        return out
+        exponent at position i weights the edge nodes[i] -> nodes[i+1].
+        Computed once; tuples, so no caller can change the cached value."""
+        if self._cycles is None:
+            seen = [False] * self.n
+            out = []
+            for start in range(self.n):
+                if seen[start]:
+                    continue
+                nodes = []
+                cur = start
+                while not seen[cur]:
+                    seen[cur] = True
+                    nodes.append(cur)
+                    cur = self.perm[cur]
+                out.append((tuple(nodes), tuple(self.exps[v] for v in nodes)))
+            self._cycles = tuple(out)
+        return self._cycles
 
     def weight_exponent_sum(self) -> int:
         return sum(self.exps) % self.ring.r

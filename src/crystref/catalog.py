@@ -399,17 +399,6 @@ class GroupSpec:
     def name(self) -> str:
         return self.id.name()
 
-    @property
-    def r(self) -> int:
-        return self.id.r
-
-    @property
-    def p(self) -> int:
-        return self.id.p
-
-    def linear_order(self) -> int:
-        return linear_group_order(self.id.r, self.id.p, self.n)
-
     def elements_of_linear_part(self) -> list[Monomial]:
         if self._elements is None:
             self._elements = enumerate_linear_group(

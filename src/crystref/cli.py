@@ -12,18 +12,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import build_group, catalog_ids
-from .errors import CrystrefError, ExpectedPositiveGroup, NotRankOne, UnknownGroup
+from .catalog import build_group
+from .errors import CrystrefError, ExpectedPositiveGroup
 from .hyperplanes import rank1_window, reflection_families
 from .steinberg import check_counterexample, full_table_report, sweep
 from .svgplot import render_window
-
-
-def _build(name: str):
-    try:
-        return build_group(name)
-    except UnknownGroup as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _print(data, as_json: bool, human) -> None:
@@ -34,7 +27,7 @@ def _print(data, as_json: bool, human) -> None:
 
 
 def cmd_info(args) -> int:
-    spec = _build(args.group)
+    spec = build_group(args.group)
     data = spec.to_dict()
 
     def human(d):
@@ -60,7 +53,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_reflections(args) -> int:
-    spec = _build(args.group)
+    spec = build_group(args.group)
     fams = reflection_families(spec)
     data = {"group": spec.name,
             "families": [f.to_dict() for f in fams]}
@@ -90,7 +83,7 @@ def cmd_reflections(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec = _build(args.group)
+    spec = build_group(args.group)
     rep = sweep(spec, bound=args.bound, budget=args.budget)
     data = rep.to_dict(max_violations=args.show_violations)
     data["expected"] = spec.expected_steinberg
@@ -116,7 +109,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    spec = _build(args.group)
+    spec = build_group(args.group)
     try:
         rep = check_counterexample(spec)
     except ExpectedPositiveGroup as exc:
@@ -162,13 +155,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    spec = _build(args.group)
+    spec = build_group(args.group)
     radius = args.window
-    try:
-        lat, hyp = rank1_window(spec, radius)
-    except NotRankOne as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lat, hyp = rank1_window(spec, radius)
     svg = render_window(lat, hyp, radius)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -247,15 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; argparse's own exit (a
+    usage error, or --help) returns its code after argparse has printed."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
     except CrystrefError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,8 +21,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional, Sequence
 
-from .affine import (AffineMap, AffineSubspace, Monomial, Vector,
-                     is_reflection, subspace_satisfies_form)
+from .affine import AffineMap, AffineSubspace, Monomial, Vector
 from .catalog import GroupSpec
 from .errors import (ConstantNotAdmissible, CrystrefError, EmptySubspace,
                      NotRankOne, RingMismatch)
@@ -222,9 +221,11 @@ def point_on_arrangement(spec: GroupSpec, u: Vector) -> Optional[Witness]:
     return None
 
 
-def subspace_on_arrangement(spec: GroupSpec,
-                            space: AffineSubspace) -> Optional[Witness]:
-    """A witness whose hyperplane contains the whole subspace, if any."""
+def subspace_mirror(spec: GroupSpec, space: AffineSubspace
+                    ) -> Optional[tuple[HyperplaneFamily, Branch, Scalar]]:
+    """(family, branch, value) of the first mirror that contains the whole
+    subspace: its form vanishes on every direction and takes an admissible
+    value at the base point.  None when no mirror contains it."""
     if space.is_empty:
         raise EmptySubspace("arrangement query on the empty subspace")
     for family in reflection_families(spec):
@@ -234,9 +235,17 @@ def subspace_on_arrangement(spec: GroupSpec,
         value = form.evaluate(space.base)
         branch = family.admits(value)
         if branch is not None:
-            refl = witness_reflection(spec, family, branch, value)
-            return Witness(refl, family, branch, value)
+            return family, branch, value
     return None
+
+
+def subspace_on_arrangement(spec: GroupSpec,
+                            space: AffineSubspace) -> Optional[Witness]:
+    """A witness whose hyperplane contains the whole subspace, if any."""
+    found = subspace_mirror(spec, space)
+    if found is None:
+        return None
+    return Witness(witness_reflection(spec, *found), *found)
 
 
 def off_arrangement_point(spec: GroupSpec, space: AffineSubspace) -> Vector:

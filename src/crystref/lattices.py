@@ -241,8 +241,3 @@ def lattice_from_generators(ring: Ring, n: int,
         zbasis = [Vector.from_int_flat(ring, row, den)
                   for row in linalg.int_hnf(rows)]
     return Lattice(ring, n, zbasis, stored)
-
-
-def module_from_texts(ring: Ring, texts: Sequence[str]) -> ScalarModule:
-    from .scalars import parse_scalar
-    return ScalarModule(ring, [parse_scalar(ring, t) for t in texts])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import AlphaNotInvertible, AlphaSquared, DivisionByZero, RingMismatch
 
@@ -61,11 +61,6 @@ class Ring:
         return self.r in _REDUCTION
 
     @property
-    def qdim(self) -> int:
-        """Dimension of the scalar space over Q."""
-        return (2 if self.is_quadratic else 1) * (2 if self.alpha else 1)
-
-    @property
     def flat_width(self) -> int:
         """Length of coordinate vectors (uniform 2 without, 4 with parameter)."""
         return 4 if self.alpha else 2
@@ -103,7 +98,8 @@ class Ring:
         return self._roots[m % self.r]
 
     def basis_scalars(self) -> tuple["Scalar", ...]:
-        """A Q-basis of the scalar space (length qdim)."""
+        """A Q-basis of the scalar space: 1 and xi when the ring is
+        quadratic, each also times the formal parameter when it is in play."""
         basis = [self.one()]
         if self.is_quadratic:
             basis.append(self.xi())
@@ -208,14 +204,6 @@ class Scalar:
     def is_cyclo(self) -> bool:
         """True when the formal part vanishes."""
         return not (self.nc or self.nd)
-
-    def is_rational(self) -> bool:
-        return not (self.nb or self.nc or self.nd)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise RingMismatch(f"{self} is not rational")
-        return self.a
 
     # -- arithmetic ------------------------------------------------------
 
@@ -346,13 +334,6 @@ class Scalar:
         if self.ring.alpha:
             return (self.na, self.nb, self.nc, self.nd), self.den
         return (self.na, self.nb), self.den
-
-    def cyclo_part(self) -> "Scalar":
-        return Scalar._raw(self.ring, self.na, self.nb, 0, 0, self.den)
-
-    def formal_part(self) -> "Scalar":
-        """Coefficient of the formal parameter, as a cyclotomic scalar."""
-        return Scalar._raw(self.ring, self.nc, self.nd, 0, 0, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -5,20 +5,19 @@ reproducing the pass/fail columns of the classification tables.
 The complete oracle for a single element is hyperplane-family membership of
 its fixed space (see hyperplanes.py); the lemma constructions are redundant
 cross-checks.  One walk, _box, enumerates the translation box (all of it, or
-a seeded sample past the budget) for the fast sweep, element_stream and the
-exact sweep_exact.  The sweep runs a vectorised integer fast path whose
-verdicts agree with the exact per-element oracle (tested on full and sampled
-grids), with flagged violations re-verified exactly up to confirm_cap.
+a seeded sample past the budget) for the sweep, element_stream and the exact
+sweep_exact.
 
-The fast path is int64 from end to end.  A sweep reads the lattice Z-basis
-as one integer matrix B over one denominator D (Lattice.int_basis).  Per
-linear part it solves the cycles for all basis vectors at once:
-multiplication by xi^e is a power of the integer companion matrix of the
-ring, and division by 1 - xi^k is an integer adjugate over the lcm N of the
-norms, so every value is an integer over D * N.  Translations are decoded
-as coeffs @ B over D, straight into integer scalars.  Every product with a
-coefficient grid is guarded: bound * (largest column abs-sum) must stay below
-2**62, or the sweep raises CrystrefError.
+The sweep decides every element through its class.  Conjugation by a
+translation s, (sigma, t) -> (sigma, t + (1 - sigma) s), and by tau in G,
+(sigma, t) -> (tau sigma tau^-1, tau t), preserves the arrangement, so the
+outcome is a property of the class, and each class the box meets is decided
+once by the exact oracle.  On integer lattice coefficients, the linear part
+gives way to the first element sigma0 of its conjugacy class and the
+translation to its class under the Hermite form of 1 - sigma0 (H. Cohen,
+GTM 138, section 2.4; G. I. Lehrer and D. E. Taylor, Unitary Reflection
+Groups, ch. 2).  Flagged violations are re-verified element by element,
+and an int64 step whose entries could reach 2**62 raises CrystrefError.
 """
 
 from __future__ import annotations
@@ -27,20 +26,20 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .affine import (AffineMap, Monomial, Vector, fixed_space,
                      has_finite_order, is_central_reflection, power)
 from .catalog import GroupId, GroupSpec, build_group, catalog_ids
 from .errors import ExpectedPositiveGroup, NotAMember, CrystrefError
 from .hyperplanes import (Witness, family_index, off_arrangement_point,
-                          point_on_arrangement, reflection_families,
+                          point_on_arrangement, subspace_mirror,
                           subspace_on_arrangement, witness_reflection)
 from .lattices import ScalarModule
-from .scalars import _FOLDED, _REDUCTION, Ring, Scalar
+from .scalars import Ring, Scalar
 
 NO_FIXED_POINT = "no_fixed_point"
 REFLECTION_POWER = "reflection_power"
@@ -262,7 +261,7 @@ def verify_element(spec: GroupSpec, g: AffineMap,
                           fixed_point=off_arrangement_point(spec, space))
 
 
-# -- vectorised sweep ---------------------------------------------------------
+# -- the sweep: one exact verdict per translation class ------------------------
 
 _INT64_LIMIT = 2 ** 62
 
@@ -297,131 +296,96 @@ def _decode(spec: GroupSpec, basis: np.ndarray, den: int,
             for row in (coeffs @ basis).tolist()]
 
 
-def _ring_matrices(ring: Ring) -> tuple[np.ndarray, np.ndarray, int]:
-    """(roots, divs, N): integer matrices acting on coordinate rows x of
-    scalars.  x @ roots[e] multiplies by xi^e (powers of the companion matrix
-    of the relation in _REDUCTION), and x @ divs[k] / N divides by 1 - xi^k
-    (the adjugate over the norm, every k over the lcm N of the norms)."""
-    if ring.is_quadratic:
-        u, v = _REDUCTION[ring.r]
-        xi = np.array([[0, 1], [v, u]], dtype=np.int64)
-    else:   # xi is the rational _FOLDED[r]; second coordinates stay zero
-        xi = np.array([[_FOLDED[ring.r], 0], [1, 0]], dtype=np.int64)
-    eye = np.eye(2, dtype=np.int64)
-    powers = [eye]
-    for _ in range(ring.r - 1):
-        powers.append(powers[-1] @ xi)
-    adjs, norms = [0 * eye], [1]
-    for k in range(1, ring.r):
-        (a, b), (c, d) = (eye - powers[k]).tolist()
-        adjs.append(np.array([[d, -b], [-c, a]], dtype=np.int64))
-        norms.append(a * d - b * c)
-    big = lcm(*norms)
-    block = np.eye(ring.flat_width // 2, dtype=np.int64)
-    return (np.stack([np.kron(block, x) for x in powers]),
-            np.stack([np.kron(block, x * (big // nm))
-                      for x, nm in zip(adjs, norms)]), big)
+class _Classes:
+    """Translation classes of a linear part sigma0 with coefficient matrix A,
+    and their verdicts.  (sigma0, c) has a fixed point iff c @ N == 0, N
+    spanning the right kernel of M = I - A; its class is c modulo the rows of
+    M: c reduced by the Hermite form H of M, each pivot entry then in
+    [0, H_pp), read as one mixed-radix int64.  For entries of c up to reach,
+    the kernel product, the reduction and the radix are guarded."""
+
+    def __init__(self, a: list[list[int]], reach: int):
+        m = len(a)
+        mmat = [[int(i == j) - a[i][j] for j in range(m)] for i in range(m)]
+        kernel = np.array(linalg.int_left_kernel(list(zip(*mmat))),
+                          dtype=object).reshape(-1, m).T
+        _guard(reach, kernel)
+        self.kernel = kernel.astype(np.int64)
+        hnf = linalg.int_hnf(mmat)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in hnf]
+        # rows after the last pivot above 1 change no digit, and a digit
+        # reads only the pivot columns of the rows above it
+        last = max([i + 1 for i, (row, p) in enumerate(zip(hnf, pivots))
+                    if row[p] > 1], default=0)
+        self.pivots = pivots[:last]
+        self.hnf = [[row[p] for p in self.pivots] for row in hnf[:last]]
+        self.radix = [1]
+        for i, row in enumerate(self.hnf):
+            reach += (reach // row[i] + 1) * max(map(abs, row))
+            self.radix.append(self.radix[-1] * row[i])
+            if max(reach, self.radix[-1]) >= _INT64_LIMIT:
+                raise CrystrefError("class reduction would overflow int64")
+        self.verdicts: dict[int, bool] = {}
+
+    def keys(self, coeffs: np.ndarray) -> np.ndarray:
+        x = [coeffs[:, p] for p in self.pivots]
+        key = np.zeros(len(coeffs), dtype=np.int64)
+        for i, (row, radix) in enumerate(zip(self.hnf, self.radix)):
+            quotient, digit = np.divmod(x[i], row[i])
+            key += digit * radix
+            for j in range(i + 1, len(x)):
+                if row[j]:
+                    x[j] = x[j] - quotient * row[j]
+        return key
 
 
-def _module_solver_data(module: ScalarModule):
-    """(L, dL, C), integer matrices from the module's solver, each padded to
-    square: y = x @ L / dL are the candidate integer coordinates of a scalar
-    with coordinate row x, and x @ C == 0 is its row-span condition; L is zero
-    for the zero module, whose condition is x == 0."""
-    width = module.ring.flat_width
-    if module.is_zero():
-        return [[0] * width] * width, 1, [[-int(i == j) for j in range(width)]
-                                          for i in range(width)]
-    solver = module.solver()
-    return ([row + [0] * (width - len(row)) for row in solver.lmat], solver.dl,
-            [row + [0] * (width - len(row)) for row in solver.cmat])
-
-
-class _Kernel:
-    """The integer data one sweep shares across its linear parts: the basis
-    B / D, the ring matrices, and per mirror-family branch its form
-    x_j - xi^m x_k (k = n, a zero node, for x_j) with the branch's module
-    data; _prepare_sigma turns them into int64 tests for one linear part."""
+class _ClassLookup:
+    """mats[h] = A_h, the matrix of h on lattice coefficients (h t has
+    coefficients c @ A_h), as products of the generators' matrices along the
+    Cayley graph, A_{h g} = A_g @ A_h (exact in int64 while the largest A_h
+    entry times a generator's largest row abs-sum stays below 2**62); and one
+    walk over conjugation by the generators, giving each sigma the first
+    element sigma0 of its G-class and tau^-1 with sigma = tau sigma0 tau^-1."""
 
     def __init__(self, spec: GroupSpec, bound: int):
-        ring = spec.ring
-        self.n, self.r, self.bound = spec.n, ring.r, bound
-        self.basis, self.den = _integer_basis(spec, bound)
-        self.roots, self.divs, self.norm = _ring_matrices(ring)
-        width = ring.flat_width
-        self.forms, self.d1, ls, cs = [], [], [], []
-        for fam in reflection_families(spec):
-            form = fam.form
-            k = spec.n if form.k is None else form.k - 1
-            for branch in fam.branches:
-                L, dl, C = _module_solver_data(branch.constants)
-                self.forms.append((form.j - 1, k, form.m))
-                self.d1.append(self.den * self.norm * dl)
-                ls.append(L)
-                cs.append(C)
-        ls = np.array(ls, dtype=object).reshape(-1, width, width)
-        cs = np.array(cs, dtype=object).reshape(-1, width, width)
-        # a prepared value is B through at most n root products, one division,
-        # the scaling by N and one form: its entries stay below `reach`
-        rho, delta = _colmax(self.roots), max(_colmax(self.divs), 1)
-        reach = ((1 + rho) * (rho * delta + self.norm) * spec.n * rho ** spec.n
-                 * int(np.abs(self.basis).max()))
-        _guard(reach, ls, cs)
-        self.ls, self.cs = ls.astype(np.int64), cs.astype(np.int64)
+        lat = spec.lattice
+        gens = [(g, g.inverse(), np.array([lat.coefficients(g.apply(b))
+                                           for b in lat.zbasis], dtype=np.int64))
+                for g in spec.linear_generators]
+        ident = Monomial.identity(spec.ring, spec.n)
+        self.mats = {ident: np.eye(lat.rank, dtype=np.int64)}
+        queue = [ident]
+        for h in queue:
+            for g, _, a in gens:
+                if (hg := h * g) not in self.mats:
+                    self.mats[hg] = a @ self.mats[h]
+                    queue.append(hg)
+        stack = np.stack(list(self.mats.values()))
+        _guard(int(np.abs(stack).max()), *(a.T for *_, a in gens))
+        _guard(bound, stack)
+        self.reach = bound * _colmax(stack)
+        self.conjugate: dict[Monomial, tuple] = {}
+        for sigma0 in spec.elements_of_linear_part():
+            if sigma0 in self.conjugate:
+                continue
+            self.conjugate[sigma0] = (sigma0, ident)
+            queue = [sigma0]
+            for x in queue:
+                tau_inv = self.conjugate[x][1]
+                for g, g_inv, _ in gens:
+                    if (y := g * x * g_inv) not in self.conjugate:
+                        self.conjugate[y] = (sigma0, tau_inv * g_inv)
+                        queue.append(y)
+        self.classes: dict[Monomial, _Classes] = {}
 
-
-def _prepare_sigma(kernel: _Kernel, sigma: Monomial):
-    """(consistency, tests) for one linear part, as int64 matrices in the
-    lattice coefficients c.  c @ consistency == 0 says that (sigma, t) has a
-    fixed point (consistency is None when every cycle solves); a test
-    (P1, d1, P2) then puts its fixed space on a mirror of one branch when
-    c @ P2 == 0 and c @ P1 == 0 mod d1."""
-    n, r, norm, roots = kernel.n, kernel.r, kernel.norm, kernel.roots
-    m = len(kernel.basis)
-    t = kernel.basis.reshape(m, n, -1)
-    # per node, over D * N: the fixed coordinate on cycles of nontrivial weight
-    # product, else the particular solution with start 0; node n stays zero
-    x = np.zeros((m, n + 1, t.shape[2]), dtype=np.int64)
-    point = [True] * (n + 1)
-    acc = [0] * (n + 1)
-    cycle = [0] * (n + 1)
-    wraps = []
-    for ci, (nodes, exps) in enumerate(sigma.cycles()):
-        s = np.zeros_like(t[:, 0])
-        svals = [s]
-        for e, node in zip(exps, nodes[1:]):
-            s = s @ roots[e] + t[:, node]
-            svals.append(s)
-        wrap = s @ roots[exps[-1]] + t[:, nodes[0]]
-        accs = np.cumsum([0] + exps[:-1]) % r
-        vals = norm * np.stack(svals, axis=1)
-        total = sum(exps) % r
-        if total:
-            vals += (wrap @ kernel.divs[total] @ roots[accs]).swapaxes(0, 1)
-        else:
-            wraps.append(wrap)
-        x[:, nodes] = vals
-        for node, a in zip(nodes, accs.tolist()):
-            point[node], acc[node], cycle[node] = bool(total), a, ci
-    # a branch applies when both nodes are fixed coordinates, or when both lie
-    # on one free cycle whose direction the form annihilates
-    chosen = [i for i, (j, k, fm) in enumerate(kernel.forms)
-              if (point[j] and point[k]) or
-              (not (point[j] or point[k]) and cycle[j] == cycle[k]
-               and (acc[j] - acc[k] - fm) % r == 0)]
-    consistency = None
-    if wraps:
-        consistency = np.concatenate(wraps, axis=1)
-        _guard(kernel.bound, consistency)
-    if not chosen:
-        return consistency, []
-    js, ks, fms = (list(col) for col in zip(*(kernel.forms[i] for i in chosen)))
-    vals = x[:, js] - (x[:, ks, None, :] @ roots[fms])[:, :, 0]
-    vals = vals.swapaxes(0, 1)
-    p1 = vals @ kernel.ls[chosen]
-    p2 = vals @ kernel.cs[chosen]
-    _guard(kernel.bound, p1, p2)
-    return consistency, list(zip(p1, [kernel.d1[i] for i in chosen], p2))
+    def __call__(self, sigma: Monomial) -> tuple[_Classes, np.ndarray]:
+        """(classes of sigma0, A_{tau^-1}): (sigma, c) is looked up as
+        (sigma0, c @ A_{tau^-1})."""
+        sigma0, tau_inv = self.conjugate[sigma]
+        if sigma0 not in self.classes:
+            self.classes[sigma0] = _Classes(self.mats[sigma0].tolist(),
+                                            self.reach)
+        return self.classes[sigma0], self.mats[tau_inv]
 
 
 @dataclass
@@ -493,13 +457,14 @@ def _box(spec: GroupSpec, bound: int, budget: Optional[int]):
         raise CrystrefError(f"the grid of {grid_total} elements is too large "
                             "to sweep or sample")
     if budget is not None and grid_total > budget:
-        by_sigma: dict[int, list[int]] = {}
-        for flat in sorted(random.Random(_SEED).sample(range(grid_total),
-                                                       budget)):
-            by_sigma.setdefault(flat // per_sigma, []).append(flat % per_sigma)
+        flat = np.sort(np.array(random.Random(_SEED).sample(
+            range(grid_total), budget), dtype=np.int64))
+        # the sorted sample, cut wherever the linear part changes
+        part, cell = np.divmod(flat, per_sigma)
+        cuts = np.flatnonzero(np.diff(part)) + 1
         return grid_total, False, (
-            (sigmas[si], [_coefficient_grid(m, bound, idx)])
-            for si, idx in by_sigma.items())
+            (sigmas[si[0]], [_coefficient_grid(m, bound, idx)])
+            for si, idx in zip(np.split(part, cuts), np.split(cell, cuts)))
 
     def chunks():
         for lo in range(0, per_sigma, _CHUNK):
@@ -513,47 +478,47 @@ def _box(spec: GroupSpec, bound: int, budget: Optional[int]):
 def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
           confirm_cap: int = 200) -> SweepReport:
     """Iterate over the (sigma, t) box that _box walks; record every
-    violation of the Steinberg property.  Flagged violations are re-verified
-    with the exact oracle up to confirm_cap."""
+    violation of the Steinberg property.  An element (sigma, c) is looked up
+    as (sigma0, c @ A_{tau^-1}) among the translation classes of its
+    conjugacy class representative sigma0, and each class's verdict is
+    decided once, by fixed_space and subspace_mirror on its first box
+    element.  Flagged violations are re-verified with the exact oracle up to
+    confirm_cap."""
     start = time.perf_counter()
     grid_total, exhaustive, walk = _box(spec, bound, budget)
-    kernel = _Kernel(spec, bound)
-    examined = 0
-    with_fp = 0
+    basis, den = _integer_basis(spec, bound)
+    lookup = _ClassLookup(spec, bound)
+    examined = with_fp = confirmed = 0
     violations: list[ElementVerdict] = []
-    confirmed = 0
     for sigma, blocks in walk:
-        consistency, tests = _prepare_sigma(kernel, sigma)
+        cls, a = lookup(sigma)
         for grid in blocks:
             examined += len(grid)
-            if consistency is not None:
-                cons = (grid @ consistency == 0).all(axis=1)
-            else:
-                cons = np.ones(len(grid), dtype=bool)
+            coeffs = grid @ a
+            fixed = (coeffs @ cls.kernel == 0).all(axis=1)
             if sigma.is_identity():
-                cons = cons & (grid != 0).any(axis=1)
-            nfp = int(cons.sum())
-            with_fp += nfp
-            if nfp == 0:
+                fixed &= grid.any(axis=1)
+            rows = np.flatnonzero(fixed)
+            with_fp += len(rows)
+            if not len(rows):
                 continue
-            on = np.zeros(len(grid), dtype=bool)
-            for p1, d1, p2 in tests:
-                mask = ~on & cons
-                if not mask.any():
-                    break
-                sub = grid[mask]
-                on[mask] = ((sub @ p2 == 0).all(axis=1)
-                            & ((sub @ p1) % d1 == 0).all(axis=1))
-            bad = cons & ~on
-            if not bad.any():
-                continue
-            for t in _decode(spec, kernel.basis, kernel.den, grid[bad]):
+            keys, first, where = np.unique(cls.keys(coeffs[rows]),
+                                           return_index=True,
+                                           return_inverse=True)
+            keys = keys.tolist()
+            new = [i for i, key in enumerate(keys) if key not in cls.verdicts]
+            for i, t in zip(new, _decode(spec, basis, den,
+                                         grid[rows[first[new]]])):
+                space = fixed_space(AffineMap(sigma, t))
+                cls.verdicts[keys[i]] = subspace_mirror(spec, space) is None
+            bad = rows[np.array([cls.verdicts[key] for key in keys])[where]]
+            for t in _decode(spec, basis, den, grid[bad]):
                 g = AffineMap(sigma, t)
                 if confirmed < confirm_cap:
                     verdict = verify_element(spec, g,
                                              classify_reflection_power=False)
                     if verdict.outcome != VIOLATION:
-                        raise CrystrefError("fast sweep disagreed with the "
+                        raise CrystrefError("class verdict disagreed with the "
                                             f"exact oracle on {g.text()}")
                     confirmed += 1
                     violations.append(verdict)

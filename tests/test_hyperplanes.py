@@ -3,18 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from crystref import (AffineMap, ConstantNotAdmissible, CrystrefError,
                       EmptySubspace, Monomial, NotRankOne, Ring, ScalarModule,
                       Vector, build_group, catalog_ids, enumerate_linear_group,
                       fixed_space, in_window, is_central_reflection,
-                      is_reflection, module_window, point_on_arrangement,
-                      rank1_window, reflection_families,
+                      is_reflection, module_window, off_arrangement_point,
+                      point_on_arrangement, rank1_window, reflection_families,
                       subspace_on_arrangement, subspace_satisfies_form,
                       witness_reflection)
 from crystref.affine import EMPTY, AffineSubspace
 from crystref import hyperplanes
+from crystref.catalog import _ROWS, GroupId
 from crystref.hyperplanes import family_index as _family_index
+from crystref.linalg import int_left_kernel
 
 
 def _zmod(ring, *gens):
@@ -143,6 +146,49 @@ def test_off_arrangement_point_gives_up_with_an_error(monkeypatch):
                         lambda spec, u: object())
     with pytest.raises(CrystrefError):
         hyperplanes.off_arrangement_point(spec, space)
+
+
+# every row at each n from nmin through nmin + 3 where the property fails:
+# only there can a fixed space lie off the arrangement
+_FAILING_IDS = [GroupId(row.family, row.r, row.p, n, row.k, row.alpha)
+                for row in _ROWS for n in range(row.nmin, row.nmin + 4)
+                if (row.nmax is None or n <= row.nmax) and not row.steinberg(n)]
+
+
+@st.composite
+def _failing_row_elements(draw):
+    """(spec, g): a member of a failing row with a fixed point.  With A the
+    matrix of sigma on lattice coefficients, t has a fixed point iff its
+    coefficients lie in the rational row span of I - A; they are drawn as a
+    combination, coefficients in [-2, 2], of a Z-basis of that span's integer
+    points (the left kernel of the right kernel of I - A)."""
+    spec = build_group(draw(st.sampled_from(_FAILING_IDS)))
+    ring, n, lat = spec.ring, spec.n, spec.lattice
+    exps = draw(st.lists(st.integers(0, ring.r - 1), min_size=n, max_size=n))
+    exps[-1] -= sum(exps) % spec.id.p
+    sigma = Monomial(ring, draw(st.permutations(range(n))), exps)
+    a = [lat.coefficients(sigma.apply(b)) for b in lat.zbasis]
+    m = len(a)
+    kernel = int_left_kernel([[int(i == j) - a[j][i] for j in range(m)]
+                              for i in range(m)])
+    t = Vector.zero(ring, n)
+    for row in int_left_kernel([[v[i] for v in kernel] for i in range(m)]):
+        y = draw(st.integers(-2, 2))
+        for c, b in zip(row, lat.zbasis):
+            t = t + b.scale(ring.rational(y * c))
+    return spec, AffineMap(sigma, t)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_failing_row_elements())
+def test_off_arrangement_point_lies_in_the_space_and_off_every_mirror(case):
+    spec, g = case
+    space = fixed_space(g)
+    assume(space.dim <= 4)
+    if subspace_on_arrangement(spec, space) is None:
+        pt = off_arrangement_point(spec, space)
+        assert g.apply(pt) == pt, g.text()
+        assert point_on_arrangement(spec, pt) is None, g.text()
 
 
 def test_witness_reflection_examples():

@@ -1,6 +1,7 @@
 """Source lint: guard checks in the library raise errors and are never
 assert statements, which python -O strips; the exact core does its linear
-algebra on integers and never imports fractions."""
+algebra on integers and never imports fractions; and only scalars.py reads
+the scalar storage layout."""
 
 import ast
 from pathlib import Path
@@ -60,4 +61,34 @@ def test_lint_finds_fractions_imports():
 def test_exact_core_does_not_import_fractions():
     found = [f"{name}:{line}" for name in INTEGER_ONLY
              for line in _fractions_imports(ast.parse((SRC / name).read_text()))]
+    assert not found, found
+
+
+# the scalar storage layout (the ring relations _REDUCTION and _FOLDED) is
+# private to scalars.py: no other library module imports an underscore name
+# from it
+def _private_scalars_imports(tree: ast.AST):
+    """(line, name) of every underscore name imported from a module named
+    scalars (relative or absolute)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is not None \
+                and node.module.split(".")[-1] == "scalars":
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+
+
+def test_lint_finds_private_scalars_imports():
+    tree = ast.parse("from .scalars import _FOLDED, Ring\n"
+                     "from crystref.scalars import _REDUCTION\n"
+                     "from .affine import _private\nimport scalars\n")
+    assert list(_private_scalars_imports(tree)) == [(1, "_FOLDED"),
+                                                    (2, "_REDUCTION")]
+
+
+def test_scalar_layout_stays_in_scalars():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.rglob("*.py")) if path.name != "scalars.py"
+             for line, name in _private_scalars_imports(
+                 ast.parse(path.read_text()))]
     assert not found, found

@@ -12,14 +12,14 @@ from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
                       ScalarModule, Vector, build_group, catalog_ids,
                       check_counterexample, compose, fixed_space,
                       module_window, orbit_classes, orbit_equiv, power,
-                      reflection_families, subspace_satisfies_form, sweep,
-                      sweep_exact, verify_element, witness_from_conditions,
+                      subspace_satisfies_form, sweep, sweep_exact,
+                      verify_element, witness_from_conditions,
                       witness_from_cycle)
 from crystref import steinberg
 from crystref.catalog import _ROWS, GroupId
 from crystref.cli import run
-from crystref.steinberg import (_decode, _guard, _integer_basis,
-                                _ring_matrices, element_stream,
+from crystref.steinberg import (_ClassLookup, _Classes, _decode, _guard,
+                                _integer_basis, element_stream,
                                 full_table_report)
 
 
@@ -283,28 +283,6 @@ def test_integer_decode_matches_vector_arithmetic():
             assert t == want and hash(t) == hash(want), (spec.name, row)
 
 
-def test_ring_matrices_match_scalar_arithmetic(rng):
-    from conftest import random_scalar
-    for r in (1, 2, 3, 4, 6):
-        for alpha in (False, True):
-            ring = Ring(r, alpha)
-            roots, divs, norm = _ring_matrices(ring)
-
-            def act(x, mat, den=1):
-                row = x.coordinates()
-                return ring.from_coordinates(
-                    [sum(row[i] * int(mat[i][j]) for i in range(len(row))) / den
-                     for j in range(len(row))])
-
-            for _ in range(10):
-                x = random_scalar(rng, ring, with_alpha=True)
-                for k in range(r):
-                    assert act(x, roots[k]) == x * ring.root(k)
-                    if k:
-                        assert act(x, divs[k], norm) == \
-                            x / (ring.one() - ring.root(k))
-
-
 def test_int64_guard_refuses_overflowing_products():
     huge = np.array([[2 ** 61, 5], [2 ** 61, -7]], dtype=np.int64)
     _guard(1, huge[:, 1:])
@@ -318,32 +296,124 @@ def test_int64_guard_refuses_overflowing_products():
     spec = build_group("[G(4,1,2)]_2")
     with pytest.raises(CrystrefError):
         sweep(spec, bound=2 ** 61, budget=10)
-    # the prepared matrices of a linear part are guarded too: identity (free
-    # cycles, consistency) and diag(i, i) (fixed coordinates, P1 and P2)
-    kernel = steinberg._Kernel(spec, 1)
-    kernel.bound = 2 ** 61
-    for sigma in (Monomial.identity(spec.ring, 2),
-                  Monomial.diagonal(spec.ring, [1, 1])):
-        steinberg._prepare_sigma(steinberg._Kernel(spec, 1), sigma)
-        with pytest.raises(CrystrefError):
-            steinberg._prepare_sigma(kernel, sigma)
+    with pytest.raises(CrystrefError):
+        _ClassLookup(spec, 2 ** 61)     # c @ A_h
+    # the class data of a linear part are guarded too: the kernel product
+    # (the identity) and the reduction (diag(i, i), four classes)
+    mats = _ClassLookup(spec, 1).mats
+    ident = mats[Monomial.identity(spec.ring, 2)].tolist()
+    diag = mats[Monomial.diagonal(spec.ring, [1, 1])].tolist()
+    _Classes(ident, 2 ** 61)
+    _Classes(diag, 2 ** 50)
+    with pytest.raises(CrystrefError):
+        _Classes(ident, 2 ** 62)
+    with pytest.raises(CrystrefError):
+        _Classes(diag, 2 ** 61)
     assert run(["check", spec.name, "-B", str(2 ** 61), "--budget", "10"]) == 2
 
 
-def test_prepared_branches_match_free_cycle_condition():
-    # a branch gets a test for sigma exactly when its form is constant on the
-    # fixed spaces of every (sigma, t): the form vanishes on every direction
-    # of the fixed space of sigma itself
+def _det(mat):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _class_count(classes, m, cap):
+    """How many classes the keys tell apart, walking from c = 0 along the
+    unit vectors (their classes generate the finite class group); the walk
+    stops once it has seen more than cap keys."""
+    unit = np.eye(m, dtype=np.int64)
+    frontier = np.zeros((1, m), dtype=np.int64)
+    seen = set(classes.keys(frontier).tolist())
+    while len(frontier) and len(seen) <= cap:
+        step = (frontier[:, None, :] + unit).reshape(-1, m)
+        fresh = {}
+        for key, row in zip(classes.keys(step).tolist(), step):
+            if key not in seen:
+                fresh.setdefault(key, row)
+        seen.update(fresh)
+        frontier = np.array(list(fresh.values()), dtype=np.int64).reshape(-1, m)
+    return len(seen)
+
+
+def test_class_count_is_det_of_one_minus_sigma():
+    # A_sigma, built as products of the generators' matrices, is the matrix
+    # the lattice solves give; where I - A_sigma is invertible the classes
+    # are Z^m / (I - A_sigma) Z^m, |det(I - A_sigma)| of them
+    invertible = 0
     for gid in catalog_ids():
         spec = build_group(gid)
-        kernel = steinberg._Kernel(spec, 1)
-        families = reflection_families(spec)
-        for sigma in spec.elements_of_linear_part():
-            dirs = fixed_space(AffineMap.linear(sigma)).directions
-            want = sum(len(fam.branches) for fam in families
-                       if all(fam.form.evaluate(d).is_zero() for d in dirs))
-            got = len(steinberg._prepare_sigma(kernel, sigma)[1])
-            assert got == want, (spec.name, sigma.text())
+        lat = spec.lattice
+        m = lat.rank
+        lookup = _ClassLookup(spec, 1)
+        assert len(lookup.mats) == len(spec.elements_of_linear_part())
+        for sigma, a in lookup.mats.items():
+            assert a.tolist() == [lat.coefficients(sigma.apply(b))
+                                  for b in lat.zbasis], (spec.name, sigma)
+            det = abs(_det([[int(i == j) - a[i][j] for j in range(m)]
+                            for i in range(m)]))
+            if det:
+                invertible += 1
+                classes = _Classes(a.tolist(), 1 << 20)
+                assert classes.kernel.size == 0
+                assert _class_count(classes, m, det) == det, (spec.name, sigma)
+    assert invertible == 519
+
+
+def test_outcome_and_class_are_conjugation_invariant():
+    # (sigma, t) -> (sigma, t + (1 - sigma) s) and -> (tau sigma tau^-1,
+    # tau t) keep the exact verdict; the sweep looks each element up as a
+    # conjugate (sigma0, c @ A_{tau^-1}) with that verdict too, and the
+    # translation conjugate in the same class
+    rng = random.Random(31)
+    for gid in catalog_ids():
+        spec = build_group(gid)
+        lat, ring = spec.lattice, spec.ring
+        lookup = _ClassLookup(spec, 100)
+        sigmas = spec.elements_of_linear_part()
+
+        def combination(coeffs):
+            t = Vector.zero(ring, spec.n)
+            for c, b in zip(coeffs, lat.zbasis):
+                t = t + b.scale(ring.rational(int(c)))
+            return t
+
+        def outcome(h):
+            return verify_element(spec, h,
+                                  classify_reflection_power=False).outcome
+
+        for _ in range(8):
+            sigma, tau = rng.choice(sigmas), rng.choice(sigmas)
+            t = combination([rng.randint(-1, 1) for _ in lat.zbasis])
+            s = combination([rng.randint(-1, 1) for _ in lat.zbasis])
+            g = AffineMap(sigma, t)
+            if g.is_identity():
+                continue
+            want = outcome(g)
+            keys = []
+            for h in (g, AffineMap(sigma, t + s - sigma.apply(s)),
+                      AffineMap(tau * sigma * tau.inverse(), tau.apply(t))):
+                classes, a = lookup(h.lin)
+                x = np.array([lat.coefficients(h.tran)]) @ a
+                looked_up = AffineMap(lookup.conjugate[h.lin][0],
+                                      combination(x[0]))
+                assert outcome(h) == outcome(looked_up) == want, \
+                    (spec.name, h.text())
+                fixed = bool((x @ classes.kernel == 0).all())
+                assert fixed == (want != NO_FIXED_POINT), (spec.name, h.text())
+                keys.append(int(classes.keys(x)[0]) if fixed else None)
+            assert keys[0] == keys[1], (spec.name, g.text())
 
 
 def test_sampling_refuses_grids_past_maxsize():
