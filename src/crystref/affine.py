@@ -397,6 +397,11 @@ class AffineSubspace:
 EMPTY = AffineSubspace(None)
 
 
+def _turn(ring: Ring, e: int, x: Scalar) -> Scalar:
+    """xi^e * x, without the product when it is trivial."""
+    return x if e % ring.r == 0 or x.is_zero() else ring.root(e) * x
+
+
 def fixed_space(g: AffineMap) -> AffineSubspace:
     """Solutions of (1 - Lin(g)) v = Tran(g), exactly, cycle by cycle.
 
@@ -414,31 +419,27 @@ def fixed_space(g: AffineMap) -> AffineSubspace:
     zero = ring.zero()
     tran = g.tran.coords
 
-    def turn(e: int, x: Scalar) -> Scalar:
-        """xi^e * x, without the product when it is trivial."""
-        return x if e % r == 0 or x.is_zero() else ring.root(e) * x
-
     base = [zero] * g.n
     free = []
     for nodes, exps in g.lin.cycles():
         svals = [zero]
         accs = [0]
         for e, node in zip(exps, nodes[1:]):
-            svals.append(turn(e, svals[-1]) + tran[node])
+            svals.append(_turn(ring, e, svals[-1]) + tran[node])
             accs.append(accs[-1] + e)
-        wrap = turn(exps[-1], svals[-1]) + tran[nodes[0]]
+        wrap = _turn(ring, exps[-1], svals[-1]) + tran[nodes[0]]
         total = (accs[-1] + exps[-1]) % r
         if total:
             start = wrap * (ring.one() - ring.root(total)).inverse()
             for node, a, sv in zip(nodes, accs, svals):
-                base[node] = turn(a, start) + sv
+                base[node] = _turn(ring, a, start) + sv
             continue
         if not wrap.is_zero():
             return EMPTY
         last, first = nodes.index(max(nodes)), nodes.index(min(nodes))
         direction = [zero] * g.n
         for node, a, sv in zip(nodes, accs, svals):
-            base[node] = sv - turn(a - accs[last], svals[last])
+            base[node] = sv - _turn(ring, a - accs[last], svals[last])
             direction[node] = ring.root(a - accs[first])
         free.append((nodes[last], Vector(ring, direction)))
     free.sort(key=lambda item: item[0])
@@ -465,7 +466,7 @@ def has_finite_order(g: AffineMap) -> bool:
             continue
         s = g.tran[nodes[0]]
         for e, node in zip(exps, nodes[1:]):
-            s = ring.root(e) * s + g.tran[node]
+            s = _turn(ring, e, s) + g.tran[node]
         if not s.is_zero():
             return False
     return True

@@ -2,7 +2,8 @@
 property checks, full-table reproduction and SVG figures.
 
 Exit codes: 0 success, 1 verdict mismatch against the tabulated expectation,
-2 usage errors (unknown groups, bad flags).
+2 usage errors (unknown groups, bad flags, an output file that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -159,8 +160,13 @@ def cmd_plot(args) -> int:
     radius = args.window
     lat, hyp = rank1_window(spec, radius)
     svg = render_window(lat, hyp, radius)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     print(f"wrote {args.out}: {len(lat)} lattice points, "
           f"{len(hyp)} mirror points")
     return 0
@@ -177,6 +183,18 @@ def _radius(text: str) -> Fraction:
             f"the window radius must be at least 0 (a rational such as 3 or "
             f"5/2), not {text!r}")
     return radius
+
+
+def _shown(text: str) -> int:
+    """The --show-violations value: a count of at least 0."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = None
+    if count is None or count < 0:
+        raise argparse.ArgumentTypeError(
+            f"the number of violations shown must be at least 0, not {text!r}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="translation coefficient box bound (default 1)")
     p.add_argument("--budget", type=int, default=None,
                    help="sample cap: sweep at most this many elements")
-    p.add_argument("--show-violations", type=int, default=10)
+    p.add_argument("--show-violations", type=_shown, default=10)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 

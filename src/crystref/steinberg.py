@@ -22,6 +22,7 @@ and an int64 step whose entries could reach 2**62 raises CrystrefError.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import time
@@ -257,8 +258,9 @@ def verify_element(spec: GroupSpec, g: AffineMap,
         if classify_reflection_power and _is_reflection_power(g):
             outcome = REFLECTION_POWER
         return ElementVerdict(g, outcome, witness=wit, fixed_point=space.base)
-    return ElementVerdict(g, VIOLATION,
-                          fixed_point=off_arrangement_point(spec, space))
+    # a lone fixed point on no mirror is already off the arrangement
+    point = space.base if space.dim == 0 else off_arrangement_point(spec, space)
+    return ElementVerdict(g, VIOLATION, fixed_point=point)
 
 
 # -- the sweep: one exact verdict per translation class ------------------------
@@ -436,6 +438,43 @@ def _coefficient_grid(m: int, bound: int, idx) -> np.ndarray:
     return np.stack(cols, axis=1).astype(np.int64)
 
 
+def _sample(total: int, k: int) -> np.ndarray:
+    """sorted(random.Random(_SEED).sample(range(total), k)) as int64, for
+    0 < k < total <= sys.maxsize.  Past 21 + 4**ceil(log(3k, 4)) cells (the
+    power only for k > 5) sample draws getrandbits(total.bit_length()) until
+    it has seen k distinct values below total.  numpy's MT19937 replays the
+    same Mersenne Twister words from the seeded state: a draw of up to 32
+    bits is one word shifted right, one of up to 63 bits two words, the low
+    one first and the high one shifted.  Smaller totals keep CPython's pool
+    draw."""
+    rng = random.Random(_SEED)
+    if total <= 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0):
+        return np.sort(np.array(rng.sample(range(total), k), dtype=np.int64))
+    *key, pos = rng.getstate()[1]
+    gen = np.random.MT19937()
+    gen.state = {"bit_generator": "MT19937",
+                 "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
+    bits = total.bit_length()
+    words = 1 if bits <= 32 else 2
+    # the draws k distinct values below total take on average, with margin
+    mean = 2 ** bits * -math.log1p(-k / total)
+    draws = int(mean + 4 * math.sqrt(mean)) + 64
+    values = np.empty(0, dtype=np.uint64)
+    while True:
+        raw = gen.random_raw(draws * words)
+        if words == 1:
+            drawn = raw >> (32 - bits)
+        else:
+            drawn = raw[0::2] | (raw[1::2] >> (64 - bits)) << 32
+        values = np.concatenate([values, drawn[drawn < total]])
+        distinct, first = np.unique(values, return_index=True)
+        if len(distinct) >= k:
+            last = np.partition(first, k - 1)[k - 1]
+            return distinct[first <= last].astype(np.int64)
+        # a draw adds a new value with chance above (total - k) / 2**bits
+        draws = 2 * (k - len(distinct)) * 2 ** bits // (total - k) + 64
+
+
 def _box(spec: GroupSpec, bound: int, budget: Optional[int]):
     """The one walk over the (sigma, t) grid, t in the [-bound, bound]
     coefficient box of the lattice basis: (grid_total, exhaustive, walk),
@@ -444,7 +483,7 @@ def _box(spec: GroupSpec, bound: int, budget: Optional[int]):
     exactly `budget` cells, each linear part's block built when the walk
     reaches it; otherwise blocks of at most _CHUNK rows, or one block built
     once when a linear part's grid fits in one.  Grids past sys.maxsize
-    elements are refused: random.sample cannot index them."""
+    elements are refused: the sample is drawn in int64."""
     if bound < 0:
         raise CrystrefError(f"the bound must be at least 0, not {bound}")
     if budget is not None and budget < 1:
@@ -457,8 +496,7 @@ def _box(spec: GroupSpec, bound: int, budget: Optional[int]):
         raise CrystrefError(f"the grid of {grid_total} elements is too large "
                             "to sweep or sample")
     if budget is not None and grid_total > budget:
-        flat = np.sort(np.array(random.Random(_SEED).sample(
-            range(grid_total), budget), dtype=np.int64))
+        flat = _sample(grid_total, budget)
         # the sorted sample, cut wherever the linear part changes
         part, cell = np.divmod(flat, per_sigma)
         cuts = np.flatnonzero(np.diff(part)) + 1

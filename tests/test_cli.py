@@ -52,6 +52,8 @@ def test_negative_bound_or_budget_below_one_is_a_usage_error(capsys):
     for argv in (["check", "[G(4,1,2)]_2", "--budget", "-1"],
                  ["check", "[G(4,1,2)]_2", "--budget", "0"],
                  ["check", "[G(4,1,2)]_2", "-B", "-2"],
+                 ["check", "[G(6,6,3)]_1", "--show-violations", "-1",
+                  "--json"],
                  ["table", "-B", "-1"],
                  ["reflections", "[G(4,1,1)]_1", "-R", "abc"],
                  ["reflections", "[G(4,1,1)]_1", "-R", "1/0"],
@@ -81,6 +83,14 @@ def test_plot_command(tmp_path, capsys):
     assert svg.count('r="2"') == 81      # mirror dots
     assert 'viewBox="-250.0 -250.0 500.0 500.0"' in svg
     assert run(["plot", "[G(4,1,2)]_1", "--out", str(out)]) == 2
+
+
+def test_plot_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "win.svg"
+    assert run(["plot", "[G(4,1,1)]_1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot write" in captured.err
+    assert not out.parent.exists()
 
 
 def test_table_command_sampled(capsys):

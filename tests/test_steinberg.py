@@ -11,16 +11,17 @@ from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
                       ExpectedPositiveGroup, Monomial, NotAMember, Ring,
                       ScalarModule, Vector, build_group, catalog_ids,
                       check_counterexample, compose, fixed_space,
-                      module_window, orbit_classes, orbit_equiv, power,
+                      module_window, off_arrangement_point, orbit_classes,
+                      orbit_equiv, power,
                       subspace_satisfies_form, sweep, sweep_exact,
                       verify_element, witness_from_conditions,
                       witness_from_cycle)
 from crystref import steinberg
 from crystref.catalog import _ROWS, GroupId
 from crystref.cli import run
-from crystref.steinberg import (_ClassLookup, _Classes, _decode, _guard,
-                                _integer_basis, element_stream,
-                                full_table_report)
+from crystref.steinberg import (_SEED, _ClassLookup, _Classes, _decode,
+                                _guard, _integer_basis, _sample,
+                                element_stream, full_table_report)
 
 
 def _half_gaussian_module(r4):
@@ -241,15 +242,39 @@ def test_sweep_deterministic():
     assert [v.element for v in r1.violations] == [v.element for v in r2.violations]
 
 
+def test_sample_matches_random_sample():
+    # the table's draw; k = 200000 at the last total of CPython's pool branch
+    # and the first of its set branch; k <= 5, where the set branch starts
+    # past 21; and two Mersenne Twister words per draw past 32 bits
+    for total, k in ((1_259_712, 200_000), (1_048_597, 200_000),
+                     (1_048_598, 200_000), (21, 5), (22, 5), (1000, 3),
+                     (2 ** 40 + 17, 1000)):
+        expected = sorted(random.Random(_SEED).sample(range(total), k))
+        drawn = _sample(total, k)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == expected, (total, k)
+
+
+def _assert_fixed_points_are_off_arrangement_points(spec, report):
+    """A lone fixed point is its own off-arrangement point: each violation's
+    fixed point, from verify_element's shortcut or its full search, is the
+    one off_arrangement_point finds."""
+    for v in report.violations:
+        assert v.fixed_point == off_arrangement_point(
+            spec, fixed_space(v.element)), v.element.text()
+
+
 def test_fast_sweep_matches_exact_oracle():
     for name in ("[G(4,1,2)]_2", "[G(3,1,2)]_2", "[G(6,6,2)]^a_3",
                  "[G(2,1,2)]^a_4", "[G(4,2,2)]_3", "[W(A(2))]^a_1",
                  "[G(6,3,2)]_2"):
         spec = build_group(name)
         fast = sweep(spec, bound=1, confirm_cap=10 ** 9).to_dict()
-        slow = sweep_exact(spec, bound=1).to_dict()
+        exact = sweep_exact(spec, bound=1)
+        slow = exact.to_dict()
         del fast["elapsed_seconds"], slow["elapsed_seconds"]
         assert fast == slow, name
+        _assert_fixed_points_are_off_arrangement_points(spec, exact)
     # n = 3 and alpha rows under sampling: the fast verdicts agree with the
     # exact oracle on exactly the elements the sample draws
     for name in ("[G(6,6,3)]_1", "[G(2,1,3)]^a_3"):
@@ -266,6 +291,7 @@ def test_fast_sweep_matches_exact_oracle():
                 bad.add(g)
         assert {v.element for v in fast.violations} == bad, name
         assert fast.with_fixed_point == with_fp, name
+        _assert_fixed_points_are_off_arrangement_points(spec, fast)
 
 
 def test_integer_decode_matches_vector_arithmetic():
