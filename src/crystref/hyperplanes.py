@@ -210,17 +210,6 @@ def witness_reflection(spec: GroupSpec, family: HyperplaneFamily,
     return refl
 
 
-def point_on_arrangement(spec: GroupSpec, u: Vector) -> Optional[Witness]:
-    """A witness reflection whose hyperplane passes through u, if any."""
-    for family in reflection_families(spec):
-        value = family.form.evaluate(u)
-        branch = family.admits(value)
-        if branch is not None:
-            refl = witness_reflection(spec, family, branch, value)
-            return Witness(refl, family, branch, value)
-    return None
-
-
 def subspace_mirror(spec: GroupSpec, space: AffineSubspace
                     ) -> Optional[tuple[HyperplaneFamily, Branch, Scalar]]:
     """(family, branch, value) of the first mirror that contains the whole
@@ -248,6 +237,11 @@ def subspace_on_arrangement(spec: GroupSpec,
     return Witness(witness_reflection(spec, *found), *found)
 
 
+def point_on_arrangement(spec: GroupSpec, u: Vector) -> Optional[Witness]:
+    """A witness reflection whose hyperplane passes through u, if any."""
+    return subspace_on_arrangement(spec, AffineSubspace(u))
+
+
 def off_arrangement_point(spec: GroupSpec, space: AffineSubspace) -> Vector:
     """An explicit point of the subspace lying on no reflecting hyperplane.
 
@@ -261,7 +255,7 @@ def off_arrangement_point(spec: GroupSpec, space: AffineSubspace) -> Vector:
     """
     if space.is_empty:
         raise EmptySubspace("no points in the empty subspace")
-    if point_on_arrangement(spec, space.base) is None:
+    if subspace_mirror(spec, AffineSubspace(space.base)) is None:
         return space.base
     ring = spec.ring
     forms = [fam.form for fam in reflection_families(spec)
@@ -274,7 +268,7 @@ def off_arrangement_point(spec: GroupSpec, space: AffineSubspace) -> Vector:
             break
     for p in _SHIFT_DENOMINATORS:
         pt = space.base + v.scale(ring.rational(Fraction(1, p)))
-        if point_on_arrangement(spec, pt) is None:
+        if subspace_mirror(spec, AffineSubspace(pt)) is None:
             return pt
     raise CrystrefError("could not exhibit an off-arrangement point")
 

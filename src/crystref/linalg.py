@@ -1,7 +1,8 @@
-"""Exact linear algebra on integer matrices: fraction-free Gauss-Jordan
-elimination, Hermite-style row reduction with unimodular tracking, and a
-repeated-solve helper whose solves use precomputed integer matrices only.
-Rational matrices enter as integer numerators over one denominator.
+"""Exact linear algebra on integer matrices: one fraction-free Gauss-Jordan
+routine over Q (int_rref, and RowSolver's repeated solves built on it, which
+use precomputed integer matrices only) and one Bezout row echelon over Z
+(the Hermite normal form and saturated left kernels).  Rational matrices
+enter as integer numerators over one denominator.
 
 Everything here is dense and desk-scale (dimensions at most ~20); clarity and
 exactness over asymptotics.
@@ -124,72 +125,55 @@ class RowSolver:
 
 # -- integer matrices ------------------------------------------------------
 
-def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Echelon Z-basis of the integer row span (unimodular row operations)."""
-    mat = [list(map(int, row)) for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+def _echelon(mat: list[list[int]], ncols: int) -> int:
+    """Row echelon form of the first ncols columns of mat, in place, by
+    unimodular 2 x 2 Bezout row operations; returns the number r of pivot
+    rows, which come first (the rows below them are zero on those columns)."""
     r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, nrows):
-            while mat[i][col] != 0:
-                a, b = mat[r][col], mat[i][col]
-                if abs(a) > abs(b):
-                    mat[r], mat[i] = mat[i], mat[r]
-                    continue
-                q = mat[i][col] // mat[r][col]
-                mat[i] = [mat[i][j] - q * mat[r][j] for j in range(ncols)]
-        if mat[r][col] < 0:
-            mat[r] = [-x for x in mat[r]]
-        r += 1
-    return [row for row in mat[:r]]
-
-
-def int_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical row Hermite normal form (positive pivots, reduced above)."""
-    mat = int_row_echelon(rows)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    for row in mat:
-        pivots.append(next(c for c in range(ncols) if row[c] != 0))
-    for i in range(len(mat) - 1, -1, -1):
-        c = pivots[i]
-        p = mat[i][c]
-        for k in range(i):
-            q = mat[k][c] // p
-            if q:
-                mat[k] = [mat[k][j] - q * mat[i][j] for j in range(ncols)]
-    return mat
-
-
-def int_left_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Saturated Z-basis of {y in Z^m : y @ mat == 0}."""
-    m = len(mat)
-    ncols = len(mat[0]) if m else 0
-    rows = [list(map(int, mat[i])) + [int(i == j) for j in range(m)]
-            for i in range(m)]
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            a, b = rows[r][col], rows[i][col]
+        for i in range(r + 1, len(mat)):
+            a, b = mat[r][col], mat[i][col]
             if b == 0:
                 continue
             g = gcd(a, b)
             x0, y0 = _xgcd(a, b)
             ag, bg = a // g, b // g
-            new_r = [x0 * rows[r][j] + y0 * rows[i][j] for j in range(ncols + m)]
-            new_i = [-bg * rows[r][j] + ag * rows[i][j] for j in range(ncols + m)]
-            rows[r], rows[i] = new_r, new_i
+            mat[r], mat[i] = ([x0 * u + y0 * v for u, v in zip(mat[r], mat[i])],
+                              [-bg * u + ag * v for u, v in zip(mat[r], mat[i])])
         r += 1
-    return [row[ncols:] for row in rows[r:]]
+    return r
+
+
+def int_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Canonical row Hermite normal form of the integer row span: its nonzero
+    rows, each pivot positive and every entry above a pivot in [0, pivot)."""
+    mat = [list(map(int, row)) for row in rows]
+    mat = mat[:_echelon(mat, len(mat[0]) if mat else 0)]
+    # reduce from the top row down: row i is zero left of its pivot, so
+    # subtracting it leaves the pivot columns that earlier steps reduced alone
+    for i, row in enumerate(mat):
+        c = next(j for j, x in enumerate(row) if x)
+        if row[c] < 0:
+            row = mat[i] = [-x for x in row]
+        for k in range(i):
+            q = mat[k][c] // row[c]
+            if q:
+                mat[k] = [x - q * y for x, y in zip(mat[k], row)]
+    return mat
+
+
+def int_left_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Saturated Z-basis of {y in Z^m : y @ mat == 0}: the echelon of
+    [mat | I] puts the kernel in the right half of its zero rows."""
+    m = len(mat)
+    ncols = len(mat[0]) if m else 0
+    rows = [list(map(int, mat[i])) + [int(i == j) for j in range(m)]
+            for i in range(m)]
+    return [row[ncols:] for row in rows[_echelon(rows, ncols):]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:

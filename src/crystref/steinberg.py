@@ -341,53 +341,56 @@ class _Classes:
         return key
 
 
+def _coefficient_matrix(spec: GroupSpec, h: Monomial) -> list[list[int]]:
+    """A_h, the matrix of h on lattice coefficients: h t has coefficients
+    c @ A_h, one lattice solve per basis vector."""
+    lat = spec.lattice
+    return [lat.coefficients(h.apply(b)) for b in lat.zbasis]
+
+
 class _ClassLookup:
-    """mats[h] = A_h, the matrix of h on lattice coefficients (h t has
-    coefficients c @ A_h), as products of the generators' matrices along the
-    Cayley graph, A_{h g} = A_g @ A_h (exact in int64 while the largest A_h
-    entry times a generator's largest row abs-sum stays below 2**62); and one
-    walk over conjugation by the generators, giving each sigma the first
-    element sigma0 of its G-class and tau^-1 with sigma = tau sigma0 tau^-1."""
+    """One walk over conjugation by the generators: conjugate[sigma] is
+    (sigma0, tau^-1, A_{tau^-1}), sigma0 the first element of the G-class of
+    sigma and sigma = tau sigma0 tau^-1.  A step y = g x g^-1 carries
+    A_{tau^-1 g^-1} = A_{g^-1} @ A_{tau^-1}, exact in int64 while the largest
+    A_{tau^-1} entry times a generator's largest row abs-sum stays below
+    2**62; A_sigma0 comes from lattice solves, for class representatives
+    only."""
 
     def __init__(self, spec: GroupSpec, bound: int):
-        lat = spec.lattice
-        gens = [(g, g.inverse(), np.array([lat.coefficients(g.apply(b))
-                                           for b in lat.zbasis], dtype=np.int64))
+        gens = [(g, g.inverse(), np.array(_coefficient_matrix(
+                    spec, g.inverse()), dtype=np.int64))
                 for g in spec.linear_generators]
         ident = Monomial.identity(spec.ring, spec.n)
-        self.mats = {ident: np.eye(lat.rank, dtype=np.int64)}
-        queue = [ident]
-        for h in queue:
-            for g, _, a in gens:
-                if (hg := h * g) not in self.mats:
-                    self.mats[hg] = a @ self.mats[h]
-                    queue.append(hg)
-        stack = np.stack(list(self.mats.values()))
-        _guard(int(np.abs(stack).max()), *(a.T for *_, a in gens))
-        _guard(bound, stack)
-        self.reach = bound * _colmax(stack)
+        eye = np.eye(spec.lattice.rank, dtype=np.int64)
+        self.spec = spec
         self.conjugate: dict[Monomial, tuple] = {}
         for sigma0 in spec.elements_of_linear_part():
             if sigma0 in self.conjugate:
                 continue
-            self.conjugate[sigma0] = (sigma0, ident)
+            self.conjugate[sigma0] = (sigma0, ident, eye)
             queue = [sigma0]
             for x in queue:
-                tau_inv = self.conjugate[x][1]
-                for g, g_inv, _ in gens:
+                _, tau_inv, a = self.conjugate[x]
+                for g, g_inv, a_g_inv in gens:
                     if (y := g * x * g_inv) not in self.conjugate:
-                        self.conjugate[y] = (sigma0, tau_inv * g_inv)
+                        self.conjugate[y] = (sigma0, tau_inv * g_inv,
+                                             a_g_inv @ a)
                         queue.append(y)
+        stack = np.stack([a for *_, a in self.conjugate.values()])
+        _guard(int(np.abs(stack).max()), *(a.T for *_, a in gens))
+        _guard(bound, stack)
+        self.reach = bound * _colmax(stack)
         self.classes: dict[Monomial, _Classes] = {}
 
     def __call__(self, sigma: Monomial) -> tuple[_Classes, np.ndarray]:
         """(classes of sigma0, A_{tau^-1}): (sigma, c) is looked up as
         (sigma0, c @ A_{tau^-1})."""
-        sigma0, tau_inv = self.conjugate[sigma]
+        sigma0, _, a = self.conjugate[sigma]
         if sigma0 not in self.classes:
-            self.classes[sigma0] = _Classes(self.mats[sigma0].tolist(),
-                                            self.reach)
-        return self.classes[sigma0], self.mats[tau_inv]
+            self.classes[sigma0] = _Classes(
+                _coefficient_matrix(self.spec, sigma0), self.reach)
+        return self.classes[sigma0], a
 
 
 @dataclass
@@ -615,7 +618,9 @@ def sweep_exact(spec: GroupSpec, bound: int = 1) -> SweepReport:
 
 def check_counterexample(spec) -> dict:
     """Exact certification that the tabulated element of a failing group fixes
-    a point off the arrangement; raises on any failed assertion."""
+    a point off the arrangement: verify_element must find it a violation, and
+    its off-arrangement point is checked once more.  Raises CrystrefError
+    naming the group when either fails."""
     if isinstance(spec, (str, GroupId)):
         spec = build_group(spec)
     if spec.expected_steinberg:
@@ -624,21 +629,18 @@ def check_counterexample(spec) -> dict:
     g = spec.counterexample
     if g is None:
         raise CrystrefError(f"{spec.name} has no tabulated counterexample")
-    if not spec.is_member(g):
-        raise CrystrefError(f"{spec.name}: counterexample is not a member")
-    space = fixed_space(g)
-    if space.is_empty:
-        raise CrystrefError(f"{spec.name}: counterexample has empty fixed space")
-    if subspace_on_arrangement(spec, space) is not None:
-        raise CrystrefError(f"{spec.name}: fixed space lies on the arrangement")
-    pt = off_arrangement_point(spec, space)
+    verdict = verify_element(spec, g)
+    if verdict.outcome != VIOLATION:
+        raise CrystrefError(f"{spec.name}: counterexample is not a violation "
+                            f"({verdict.outcome})")
+    pt = verdict.fixed_point
     if point_on_arrangement(spec, pt) is not None:
         raise CrystrefError(f"{spec.name}: witness point lies on the arrangement")
     report = {
         "group": spec.name,
         "element": g.text(),
         "member": True,
-        "fixed_space_dimension": space.dim,
+        "fixed_space_dimension": fixed_space(g).dim,
         "fixed_point": [x.text() for x in pt.coords],
         "off_arrangement": True,
         "passed": True,

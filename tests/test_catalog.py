@@ -1,7 +1,7 @@
 """Group catalog: naming, generators, enumeration, membership, data file."""
 
 import json
-from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -168,7 +168,7 @@ def test_symmetric_group_family():
 
 
 def test_catalog_file_matches_constructors():
-    raw = json.loads(resources.files("crystref.data").joinpath("catalog.json")
+    raw = json.loads((Path(__file__).parent / "data" / "catalog.json")
                      .read_text())
     entries = {e["name"]: e for e in raw["groups"]}
     ids = catalog_ids()

@@ -142,8 +142,8 @@ def test_off_arrangement_point_gives_up_with_an_error(monkeypatch):
     assert hyperplanes.off_arrangement_point(spec, space) is not None
     # every candidate on a mirror: the search ends in an error, not an
     # AssertionError
-    monkeypatch.setattr(hyperplanes, "point_on_arrangement",
-                        lambda spec, u: object())
+    monkeypatch.setattr(hyperplanes, "subspace_mirror",
+                        lambda spec, space: object())
     with pytest.raises(CrystrefError):
         hyperplanes.off_arrangement_point(spec, space)
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crystref import (CrystrefError, Lattice, Monomial, RankDeficient, Ring,
                       RingMismatch, ScalarModule, Vector, ZeroDirection,
-                      build_group, lattice_from_generators)
+                      build_group, lattice_from_generators, parse_scalar)
 from crystref import linalg
 from conftest import (frac_right_kernel, frac_rref,
                       fraction_line_intersection, fraction_solve,
@@ -136,7 +136,10 @@ def test_line_intersection_guard_raises_error(monkeypatch):
         spec.lattice.line_intersection(w)
 
 
-_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# p/q with 1 <= q <= 4 and |p| <= 5q, drawn from a list (shrinking to 0)
+_FRACTIONS = st.sampled_from(sorted(
+    {Fraction(p, q) for q in range(1, 5) for p in range(-5 * q, 5 * q + 1)},
+    key=lambda x: (abs(x), x)))
 
 
 @st.composite
@@ -193,6 +196,84 @@ def test_int_rref_is_the_fraction_rref_times_its_pivots(rows):
     for row, ref, c in zip(got, want, pivots):
         assert row[c] > 0 and gcd(*row) == 1
         assert [Fraction(x, row[c]) for x in row] == ref
+
+
+def _det(mat):
+    """Integer determinant by Laplace expansion along the first row."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, x in enumerate(mat[0]) if x)
+
+
+def _minor_gcd(rows, k):
+    """The gcd of the k x k minors, an invariant of the rows' Z-span: for a
+    sublattice of the same rank it grows by the index."""
+    return gcd(*(_det([[rows[i][j] for j in cols] for i in chosen])
+                 for chosen in itertools.combinations(range(len(rows)), k)
+                 for cols in itertools.combinations(range(len(rows[0])), k)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5)))
+def test_int_hnf_is_the_hermite_form_of_the_row_lattice(rows):
+    hnf = linalg.int_hnf(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf]
+    assert len(hnf) == len(linalg.int_rref(rows)[1])
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, (row, c) in enumerate(zip(hnf, pivots)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in hnf[:i]), hnf
+    # the same row lattice: the input lies in the span of the form, with
+    # the same rank and the same gcd of maximal minors
+    if hnf:
+        solver = linalg.RowSolver(hnf, 1)
+        assert all(solver.solve_integral(row, 1) is not None for row in rows)
+        assert _minor_gcd(hnf, len(hnf)) == _minor_gcd(rows, len(hnf))
+
+
+def test_module_equality_examples():
+    r4 = Ring(4, True)
+    a = ScalarModule(r4, [parse_scalar(r4, s)
+                          for s in ("-2*x", "1", "x - x*al")])
+    b = ScalarModule(r4, [parse_scalar(r4, s)
+                          for s in ("-2*x", "1 - 2*x", "x - x*al")])
+    assert a.same_module(b)
+    assert a == b and hash(a) == hash(b)
+    assert a != ScalarModule(r4, [parse_scalar(r4, s)
+                                  for s in ("-2*x", "2", "x - x*al")])
+
+
+@st.composite
+def _regrouped_modules(draw):
+    """(ring, gens, regrouped): Z-independent scalars of a ring with the
+    formal parameter, and the same module's generators after unimodular
+    changes (adding a multiple of one generator to another, reordering and
+    negating)."""
+    ring = Ring(draw(st.sampled_from((3, 4, 6))), True)
+    k = draw(st.integers(2, 4))
+    gens = [ring.scalar(*draw(st.lists(_FRACTIONS, min_size=4, max_size=4)))
+            for _ in range(k)]
+    assume(len(linalg.int_rref([g.int_coordinates()[0] for g in gens])[1]) == k)
+    regrouped = list(gens)
+    steps = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                      st.integers(-3, 3))
+    for i, j, c in draw(st.lists(steps, max_size=6)):
+        if i != j:
+            regrouped[i] = regrouped[i] + regrouped[j] * c
+    signs = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    regrouped = [-g if neg else g for g, neg in zip(regrouped, signs)]
+    return ring, gens, draw(st.permutations(regrouped))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_regrouped_modules())
+def test_module_key_ignores_unimodular_regrouping(case):
+    ring, gens, regrouped = case
+    a, b = ScalarModule(ring, gens), ScalarModule(ring, regrouped)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_line_intersection_matches_fraction_reference():

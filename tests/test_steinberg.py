@@ -1,6 +1,7 @@
 """Verification engine: orbits, lemma witnesses, verdicts, sweeps."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,10 @@ from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
 from crystref import steinberg
 from crystref.catalog import _ROWS, GroupId
 from crystref.cli import run
-from crystref.steinberg import (_SEED, _ClassLookup, _Classes, _decode,
-                                _guard, _integer_basis, _sample,
-                                element_stream, full_table_report)
+from crystref.steinberg import (_SEED, _ClassLookup, _Classes,
+                                _coefficient_matrix, _decode, _guard,
+                                _integer_basis, _sample, element_stream,
+                                full_table_report)
 
 
 def _half_gaussian_module(r4):
@@ -326,9 +328,8 @@ def test_int64_guard_refuses_overflowing_products():
         _ClassLookup(spec, 2 ** 61)     # c @ A_h
     # the class data of a linear part are guarded too: the kernel product
     # (the identity) and the reduction (diag(i, i), four classes)
-    mats = _ClassLookup(spec, 1).mats
-    ident = mats[Monomial.identity(spec.ring, 2)].tolist()
-    diag = mats[Monomial.diagonal(spec.ring, [1, 1])].tolist()
+    ident = _coefficient_matrix(spec, Monomial.identity(spec.ring, 2))
+    diag = _coefficient_matrix(spec, Monomial.diagonal(spec.ring, [1, 1]))
     _Classes(ident, 2 ** 61)
     _Classes(diag, 2 ** 50)
     with pytest.raises(CrystrefError):
@@ -374,24 +375,25 @@ def _class_count(classes, m, cap):
 
 
 def test_class_count_is_det_of_one_minus_sigma():
-    # A_sigma, built as products of the generators' matrices, is the matrix
-    # the lattice solves give; where I - A_sigma is invertible the classes
-    # are Z^m / (I - A_sigma) Z^m, |det(I - A_sigma)| of them
+    # A_{tau^-1}, built by the conjugation walk as products of the inverse
+    # generators' matrices, is the matrix the lattice solves give; where
+    # I - A_sigma is invertible the classes are Z^m / (I - A_sigma) Z^m,
+    # |det(I - A_sigma)| of them
     invertible = 0
     for gid in catalog_ids():
         spec = build_group(gid)
-        lat = spec.lattice
-        m = lat.rank
+        m = spec.lattice.rank
         lookup = _ClassLookup(spec, 1)
-        assert len(lookup.mats) == len(spec.elements_of_linear_part())
-        for sigma, a in lookup.mats.items():
-            assert a.tolist() == [lat.coefficients(sigma.apply(b))
-                                  for b in lat.zbasis], (spec.name, sigma)
+        assert len(lookup.conjugate) == len(spec.elements_of_linear_part())
+        for sigma, (_, tau_inv, a_tau_inv) in lookup.conjugate.items():
+            assert a_tau_inv.tolist() == _coefficient_matrix(spec, tau_inv), \
+                (spec.name, sigma)
+            a = _coefficient_matrix(spec, sigma)
             det = abs(_det([[int(i == j) - a[i][j] for j in range(m)]
                             for i in range(m)]))
             if det:
                 invertible += 1
-                classes = _Classes(a.tolist(), 1 << 20)
+                classes = _Classes(a, 1 << 20)
                 assert classes.kernel.size == 0
                 assert _class_count(classes, m, det) == det, (spec.name, sigma)
     assert invertible == 519
@@ -494,6 +496,29 @@ def test_table_reports_failed_certification_as_mismatch(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert [line.split()[0] for line in out.splitlines()
             if line.endswith("MISMATCH")] == ["[G(3,1,2)]_2"]
+
+
+def test_failed_certification_names_the_row(monkeypatch):
+    # the tabulated element swapped for a non-member, an element with no
+    # fixed point and one whose fixed space lies on a mirror: each time the
+    # certification raises an error naming the row, and the table reports
+    # the row as a mismatch
+    spec = build_group("[G(3,1,2)]_2")
+    ring, g = spec.ring, spec.counterexample
+    off_lattice = Vector.basis(ring, 2, 1).scale(ring.rational(Fraction(1, 5)))
+    swap = Monomial(ring, [1, 0], [0, 0])
+    for bad in (AffineMap(g.lin, g.tran + off_lattice),
+                AffineMap(Monomial.identity(ring, 2), spec.lattice.zbasis[0]),
+                AffineMap(swap, Vector.zero(ring, 2))):
+        with monkeypatch.context() as patch:
+            patch.setattr(spec, "counterexample", bad)
+            with pytest.raises(CrystrefError, match=re.escape(spec.name)):
+                check_counterexample(spec)
+            rows = {row["group"]: row
+                    for row in full_table_report(budget=500)["rows"]}
+        row = rows[spec.name]
+        assert row["counterexample"]["passed"] is False, bad.text()
+        assert row["computed"] is True and row["match"] is False, bad.text()
 
 
 def test_check_counterexample_all_failing_rows():
