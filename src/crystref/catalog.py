@@ -202,8 +202,6 @@ class _Row:
         if self._counterexample is None:
             return None
         base = self._counterexample(ring)
-        if base is None:
-            return None
         n0 = base.n
         if n == n0:
             return base
@@ -342,8 +340,7 @@ _ROWS: list[_Row] = [
          _diag_counterexample([1, 1, 1], ["3/2 + 1/2*al", "-1/2*al", "-1/2"])),
     _Row("G", 2, 2, 1, 3, None, True, lambda n: n == 3,
          _alpha_lattice("-e1-e2", "Z+Za"),
-         lambda ring: _diag_counterexample(
-             [1, 1, 1, 1], ["1", "1 + al", "-al", "0"])(ring)),
+         _diag_counterexample([1, 1, 1, 1], ["1", "1 + al", "-al", "0"])),
     _Row("G", 6, 6, 1, 2, 2, True, False,
          _dihedral_lattice("Z+Za"),
          _diag_counterexample([3, 3], ["x + al + x*al", "-1 - al - x*al"])),

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from typing import Optional, Sequence
 
 from .affine import AffineMap, AffineSubspace, Monomial, Vector
-from .catalog import GroupSpec
+from .catalog import ENUMERATION_CAP, GroupSpec
 from .errors import (ConstantNotAdmissible, CrystrefError, EmptySubspace,
-                     NotRankOne, RingMismatch)
+                     NotRankOne, RingMismatch, TooLarge)
 from .lattices import ScalarModule
 from .scalars import Ring, Scalar
 
@@ -316,33 +316,28 @@ def module_window(module: ScalarModule, radius: Fraction) -> list[Scalar]:
     radius = Fraction(radius)
     if module.is_zero():
         return [module.ring.zero()] if radius >= 0 else []
-    # embed generators as rational pairs (re, im/sqrt(im2)); bound coefficients
-    rows = []
-    for g in module.gens:
-        re, b, im2 = scalar_xy(g)
-        rows.append([re, b])
-    if len(module.gens) == 1:
-        rows[0].append(Fraction(0))
-    if len(module.gens) == 2:
+    # embed generators as rational pairs (re, im/sqrt(im2)), at most two for
+    # Z-independent points of the plane; bound coefficients
+    xy = [scalar_xy(g) for g in module.gens]
+    if len(xy) == 2:
         # coefficient = point * inv, inv = [[d, -b], [-c, a]] / det for
         # rows [[a, b], [c, d]]; |point| coordinates bounded by 2R
-        (a, b), (c, d) = rows
+        (a, b, _), (c, d, _) = xy
         det = a * d - b * c
         bound = max(abs(d) + abs(b), abs(c) + abs(a)) / abs(det) * 2 * radius
         kmax = int(bound) + 1
-        rng: list[tuple[int, ...]] = [(i, j) for i in range(-kmax, kmax + 1)
-                                      for j in range(-kmax, kmax + 1)]
-        combos = rng
     else:
-        g = module.gens[0]
-        re, b, im2 = scalar_xy(g)
+        re, b, _ = xy[0]
         denom = max(abs(re), Fraction(1, 2) * abs(b) if b else Fraction(0))
         if denom == 0:
             denom = Fraction(1, 2)
         kmax = int(2 * radius / denom) + 2
-        combos = [(i,) for i in range(-kmax, kmax + 1)]
+    candidates = (2 * kmax + 1) ** len(xy)
+    if candidates > ENUMERATION_CAP:
+        raise TooLarge(f"a window of radius {radius} has {candidates} "
+                       f"candidate points, over the cap {ENUMERATION_CAP}")
     out = []
-    for combo in combos:
+    for combo in product(range(-kmax, kmax + 1), repeat=len(xy)):
         pt = module.ring.zero()
         for c, g in zip(combo, module.gens):
             pt = pt + g * c

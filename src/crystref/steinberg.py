@@ -27,13 +27,14 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .affine import (AffineMap, Monomial, Vector, fixed_space,
-                     has_finite_order, is_central_reflection, power)
+                     has_finite_order, is_central_reflection)
 from .catalog import GroupId, GroupSpec, build_group, catalog_ids
 from .errors import ExpectedPositiveGroup, NotAMember, CrystrefError
 from .hyperplanes import (Witness, family_index, off_arrangement_point,
@@ -145,11 +146,16 @@ def witness_from_cycle(spec: GroupSpec, g: AffineMap) -> Optional[Witness]:
 
 
 def witness_from_conditions(spec: GroupSpec, g: AffineMap) -> Optional[Witness]:
-    """Witnesses for diagonal elements, trying the three lattice conditions in
-    order: (1) a power condition placing a coordinate of Tran(g^p) in the
-    lattice, (2) the same at g^p = 1 with eigenvalue-corrected scaling, and
-    (3) orbit equivalence of two fixed-point coordinates under the rank-1
-    group on the line (requires invariance under the full G(r,1,n))."""
+    """Witnesses for diagonal elements g = diag(lam_j) + t, read from the
+    fixed point x of g (x_j = t_j / (1 - lam_j) where lam_j != 1), trying
+    the three lattice conditions in order.  As g^p(v) = lam^p (v - x) + x,
+    Tran(g^p) = (1 - lam^p) x, and:
+    (1) when g^p != 1, some (1 - lam_j^p) x_j e_1 lies in the lattice and
+        x_j is a constant of the coordinate mirror x_j of eigenvalue lam_j^p;
+    (2) when g^p = 1 (every lam_j^p = 1, p != r), some x_j e_1 lies in the
+        lattice and x_j is a constant of the mirror x_j of eigenvalue xi^p;
+    (3) two coordinates x_j, x_l are orbit-equivalent under the rank-1 group
+        on the line (requires invariance under the full G(r,1,n))."""
     if not g.lin.is_diagonal():
         return None
     ring = spec.ring
@@ -157,87 +163,76 @@ def witness_from_conditions(spec: GroupSpec, g: AffineMap) -> Optional[Witness]:
     exps = g.lin.exps
     if not any(e % r for e in exps):
         return None
-    if not has_finite_order(g):
+    space = fixed_space(g)
+    if space.is_empty:
         return None
+    x = {j: space.base[j - 1] for j in range(1, spec.n + 1)
+         if exps[j - 1] % r}
     fams = family_index(spec)
     one = ring.one()
 
-    def coordinate_witness(j: int, eigen_exp: int, const: Scalar) -> Optional[Witness]:
+    def coordinate_witness(j: int, eigen_exp: int) -> Optional[Witness]:
         fam = fams.get(("c", j))
         if fam is None:
             return None
         lam = ring.root(eigen_exp)
         for branch in fam.branches:
-            if branch.eigenvalue == lam and branch.constants.contains(const):
-                refl = witness_reflection(spec, fam, branch, const)
-                return Witness(refl, fam, branch, const)
+            if branch.eigenvalue == lam and branch.constants.contains(x[j]):
+                refl = witness_reflection(spec, fam, branch, x[j])
+                return Witness(refl, fam, branch, x[j])
         return None
 
     e1 = Vector.basis(ring, spec.n, 1)
     if p != r:
-        gp = power(g, p)
-        if not gp.is_identity():
+        if any(p * e % r for e in exps):
             # condition (1)
-            for j in range(1, spec.n + 1):
-                ej = exps[j - 1]
-                if ej % r == 0 or (p * ej) % r == 0:
+            for j in x:
+                pe = p * exps[j - 1]
+                if pe % r == 0:
                     continue
-                beta = gp.tran[j - 1]
+                beta = (one - ring.root(pe)) * x[j]
                 if spec.lattice.contains(e1.scale(beta)):
-                    lam_p = ring.root(p * ej)
-                    wit = coordinate_witness(j, p * ej, beta / (one - lam_p))
+                    wit = coordinate_witness(j, pe)
                     if wit is not None:
                         return wit
         else:
             # condition (2)
-            for j in range(1, spec.n + 1):
-                ej = exps[j - 1]
-                if ej % r == 0:
-                    continue
-                lam = ring.root(ej)
-                beta_prime = g.tran[j - 1] / (one - lam)
-                if spec.lattice.contains(e1.scale(beta_prime)):
-                    # the translation (1 - xi^p) beta' e_j stays in the lattice
+            for j in x:
+                if spec.lattice.contains(e1.scale(x[j])):
+                    # the translation (1 - xi^p) x_j e_j stays in the lattice
                     tr = Vector.basis(ring, spec.n, j).scale(
-                        (one - ring.root(p)) * beta_prime)
+                        (one - ring.root(p)) * x[j])
                     if not spec.lattice.contains(tr):
                         raise CrystrefError(
                             "condition (2) translation escaped the lattice")
-                    wit = coordinate_witness(j, p, beta_prime)
+                    wit = coordinate_witness(j, p)
                     if wit is not None:
                         return wit
     # condition (3)
     if spec.n >= 2 and spec.invariant_under_full_group():
         mod = spec.orbit_module()
-        quotients = {}
-        for j in range(1, spec.n + 1):
-            ej = exps[j - 1]
-            if ej % r:
-                quotients[j] = g.tran[j - 1] / (one - ring.root(ej))
-        keys = sorted(quotients)
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                j, l = keys[a], keys[b]
-                m = orbit_equiv(ring, mod, quotients[j], quotients[l])
-                if m is None:
-                    continue
-                delta = quotients[j] - ring.root(m) * quotients[l]
-                wit = _difference_witness(spec, j, l, m, delta)
-                if wit is not None:
-                    return wit
+        for j, l in combinations(x, 2):
+            m = orbit_equiv(ring, mod, x[j], x[l])
+            if m is None:
+                continue
+            delta = x[j] - ring.root(m) * x[l]
+            wit = _difference_witness(spec, j, l, m, delta)
+            if wit is not None:
+                return wit
     return None
 
 
 # -- the per-element oracle ---------------------------------------------------
 
-def _is_reflection_power(g: AffineMap) -> bool:
-    """True iff some power g^k (1 <= k <= order of Lin(g)) is a reflection.
-    The powers of the linear part are stepped alone; the translation of g^k
-    is built only when sigma^k is a central reflection."""
-    sigma = Monomial.identity(g.ring, g.n)
-    for k in range(1, g.lin.order() + 1):
-        sigma = sigma * g.lin
-        if is_central_reflection(sigma) and has_finite_order(power(g, k)):
+def _is_reflection_power(sigma: Monomial) -> bool:
+    """True iff some power g^k (1 <= k <= order of sigma) of an element g
+    with linear part sigma is a reflection.  Precondition: g has a fixed
+    point (verify_element asks only then).  That point is fixed by every
+    g^k, so g^k is a reflection iff sigma^k is a central reflection."""
+    step = Monomial.identity(sigma.ring, sigma.n)
+    for _ in range(sigma.order()):
+        step = step * sigma
+        if is_central_reflection(step):
             return True
     return False
 
@@ -255,7 +250,7 @@ def verify_element(spec: GroupSpec, g: AffineMap,
     wit = subspace_on_arrangement(spec, space)
     if wit is not None:
         outcome = ON_HYPERPLANE
-        if classify_reflection_power and _is_reflection_power(g):
+        if classify_reflection_power and _is_reflection_power(g.lin):
             outcome = REFLECTION_POWER
         return ElementVerdict(g, outcome, witness=wit, fixed_point=space.base)
     # a lone fixed point on no mirror is already off the arrangement
@@ -430,6 +425,8 @@ class SweepReport:
 _CHUNK = 1 << 16
 # the seed of the deterministic sample of a grid past the budget
 _SEED = 12345
+# flagged violations a sweep re-verifies with the exact oracle
+_CONFIRM_CAP = 200
 
 
 def _coefficient_grid(m: int, bound: int, idx) -> np.ndarray:
@@ -516,15 +513,15 @@ def _box(spec: GroupSpec, bound: int, budget: Optional[int]):
     return grid_total, True, ((sigma, single or chunks()) for sigma in sigmas)
 
 
-def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
-          confirm_cap: int = 200) -> SweepReport:
+def sweep(spec: GroupSpec, bound: int = 1,
+          budget: Optional[int] = None) -> SweepReport:
     """Iterate over the (sigma, t) box that _box walks; record every
     violation of the Steinberg property.  An element (sigma, c) is looked up
     as (sigma0, c @ A_{tau^-1}) among the translation classes of its
     conjugacy class representative sigma0, and each class's verdict is
     decided once, by fixed_space and subspace_mirror on its first box
-    element.  Flagged violations are re-verified with the exact oracle up to
-    confirm_cap."""
+    element.  The first _CONFIRM_CAP flagged violations are re-verified with
+    the exact oracle."""
     start = time.perf_counter()
     grid_total, exhaustive, walk = _box(spec, bound, budget)
     basis, den = _integer_basis(spec, bound)
@@ -555,7 +552,7 @@ def sweep(spec: GroupSpec, bound: int = 1, budget: Optional[int] = None,
             bad = rows[np.array([cls.verdicts[key] for key in keys])[where]]
             for t in _decode(spec, basis, den, grid[bad]):
                 g = AffineMap(sigma, t)
-                if confirmed < confirm_cap:
+                if confirmed < _CONFIRM_CAP:
                     verdict = verify_element(spec, g,
                                              classify_reflection_power=False)
                     if verdict.outcome != VIOLATION:

@@ -93,6 +93,18 @@ def test_plot_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_oversized_rank1_window_is_a_usage_error(tmp_path, capsys):
+    # the candidate count is checked before any list is built: at -R 1000
+    # these windows have tens of millions of candidates, and fail at once
+    out = tmp_path / "win.svg"
+    for argv in (["plot", "[G(3,1,1)]_1", "-R", "1000", "--out", str(out)],
+                 ["reflections", "[G(6,1,1)]_1", "-R", "1000", "--json"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "over the cap 100000" in captured.err
+    assert not out.exists()
+
+
 def test_table_command_sampled(capsys):
     # a small budget keeps the run quick; verdicts still match the tables
     assert run(["table", "--budget", "3000", "--json"]) == 0

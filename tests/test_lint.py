@@ -1,7 +1,8 @@
 """Source lint: guard checks in the library raise errors and are never
 assert statements, which python -O strips; the exact core does its linear
-algebra on integers and never imports fractions; and only scalars.py reads
-the scalar storage layout."""
+algebra on integers and never imports fractions; only scalars.py reads
+the scalar storage layout; and the verification engine decides elements
+from their fixed spaces, never from composed affine powers."""
 
 import ast
 from pathlib import Path
@@ -91,4 +92,36 @@ def test_scalar_layout_stays_in_scalars():
              for path in sorted(SRC.rglob("*.py")) if path.name != "scalars.py"
              for line, name in _private_scalars_imports(
                  ast.parse(path.read_text()))]
+    assert not found, found
+
+
+# steinberg.py reads the fixed point from fixed_space and steps linear parts
+# alone; composing affine maps (power, compose) stays out of the verdict path
+AFFINE_POWERS = ("power", "compose")
+
+
+def _named_uses(tree: ast.AST, names):
+    """(line, name) of every from-import of one of the names and every
+    attribute reference to one, such as affine.power."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in names:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            yield node.lineno, node.attr
+
+
+def test_lint_finds_named_uses():
+    tree = ast.parse("from .affine import AffineMap, power\n"
+                     "from crystref.affine import compose as c\n"
+                     "from .affine import powers\nx = affine.power(g, 2)\n"
+                     "def f():\n    from .affine import compose\n")
+    assert sorted(_named_uses(tree, AFFINE_POWERS)) == [
+        (1, "power"), (2, "compose"), (4, "power"), (6, "compose")]
+
+
+def test_steinberg_composes_no_affine_powers():
+    tree = ast.parse((SRC / "steinberg.py").read_text())
+    found = list(_named_uses(tree, AFFINE_POWERS))
     assert not found, found

@@ -12,8 +12,9 @@ from crystref import (NO_FIXED_POINT, ON_HYPERPLANE, REFLECTION_POWER,
                       ExpectedPositiveGroup, Monomial, NotAMember, Ring,
                       ScalarModule, Vector, build_group, catalog_ids,
                       check_counterexample, compose, fixed_space,
-                      module_window, off_arrangement_point, orbit_classes,
-                      orbit_equiv, power,
+                      has_finite_order, is_reflection, module_window,
+                      off_arrangement_point, orbit_classes, orbit_equiv,
+                      power,
                       subspace_satisfies_form, sweep, sweep_exact,
                       verify_element, witness_from_conditions,
                       witness_from_cycle)
@@ -133,6 +134,13 @@ def test_witness_from_conditions_condition1():
     assert wit.family.form.is_coordinate
     space = fixed_space(g)
     assert subspace_satisfies_form(space, wit.family.form, wit.constant)
+    # the constant is the fixed point's coordinate x_j, and the composed
+    # g^2 translates coordinate j by (1 - lam_j^2) x_j
+    j = wit.family.form.j
+    x_j = space.base[j - 1]
+    assert wit.constant == x_j
+    lam = r6.root(g.lin.exps[j - 1])
+    assert power(g, 2).tran[j - 1] == (r6.one() - lam * lam) * x_j
 
 
 def test_witness_from_conditions_condition2():
@@ -146,6 +154,8 @@ def test_witness_from_conditions_condition2():
     assert wit is not None
     space = fixed_space(g)
     assert subspace_satisfies_form(space, wit.family.form, wit.constant)
+    assert wit.family.form.is_coordinate
+    assert wit.constant == space.base[wit.family.form.j - 1]
 
 
 def test_witness_from_conditions_identity_absent():
@@ -155,7 +165,6 @@ def test_witness_from_conditions_identity_absent():
 
 
 def test_componentwise_solvability_matches_dense_solver(rng):
-    from crystref import has_finite_order
     from conftest import dense_fixed_space, random_affine
     for ring in (Ring(3), Ring(4), Ring(6), Ring(2, True)):
         for n in (1, 2, 3):
@@ -214,7 +223,7 @@ def test_verify_element_d4_on_hyperplane_witness_shape():
     assert subspace_satisfies_form(space, fam.form, val)
 
 
-def test_sweep_examples():
+def test_sweep_examples(monkeypatch):
     s412 = build_group("[G(4,1,2)]_2")
     rep = sweep(s412, bound=1)
     assert rep.violation_count == 0 and rep.exhaustive
@@ -228,7 +237,8 @@ def test_sweep_examples():
     assert not rep3.exhaustive and rep3.examined == 20000
     assert rep3.violation_count >= 1
     # the full grid is still cheap and pins the tabulated element
-    rep4 = sweep(s224, bound=1, confirm_cap=50)
+    monkeypatch.setattr(steinberg, "_CONFIRM_CAP", 50)
+    rep4 = sweep(s224, bound=1)
     assert rep4.exhaustive and rep4.examined == 1259712
     assert any(v.element == s224.counterexample for v in rep4.violations)
 
@@ -266,12 +276,13 @@ def _assert_fixed_points_are_off_arrangement_points(spec, report):
             spec, fixed_space(v.element)), v.element.text()
 
 
-def test_fast_sweep_matches_exact_oracle():
+def test_fast_sweep_matches_exact_oracle(monkeypatch):
+    monkeypatch.setattr(steinberg, "_CONFIRM_CAP", 10 ** 9)
     for name in ("[G(4,1,2)]_2", "[G(3,1,2)]_2", "[G(6,6,2)]^a_3",
                  "[G(2,1,2)]^a_4", "[G(4,2,2)]_3", "[W(A(2))]^a_1",
                  "[G(6,3,2)]_2"):
         spec = build_group(name)
-        fast = sweep(spec, bound=1, confirm_cap=10 ** 9).to_dict()
+        fast = sweep(spec, bound=1).to_dict()
         exact = sweep_exact(spec, bound=1)
         slow = exact.to_dict()
         del fast["elapsed_seconds"], slow["elapsed_seconds"]
@@ -281,7 +292,7 @@ def test_fast_sweep_matches_exact_oracle():
     # exact oracle on exactly the elements the sample draws
     for name in ("[G(6,6,3)]_1", "[G(2,1,3)]^a_3"):
         spec = build_group(name)
-        fast = sweep(spec, bound=1, budget=1500, confirm_cap=10 ** 9)
+        fast = sweep(spec, bound=1, budget=1500)
         assert not fast.exhaustive and fast.examined == 1500
         with_fp = 0
         bad = set()
@@ -611,6 +622,11 @@ def test_lemma_witnesses_never_contradict_oracle(rng):
             g = AffineMap(lin, t)
             if g.is_identity():
                 continue
+            if has_finite_order(g):
+                # the reflection-power label, against composed affine powers
+                powers = (power(g, k) for k in range(1, lin.order() + 1))
+                assert (verify_element(spec, g).outcome == REFLECTION_POWER) \
+                    == any(is_reflection(h) for h in powers), g.text()
             wit = witness_from_cycle(spec, g) or witness_from_conditions(spec, g)
             if wit is None:
                 continue
